@@ -267,8 +267,12 @@ mod tests {
         check(fig11(&crate::experiments::fig11(&benches, &pool)));
         check(fig12(&crate::experiments::fig12(&benches, &pool)));
         check(table3(&crate::experiments::table3(&benches, &pool)));
-        check(staleness(&crate::extensions::ext_staleness(&benches)));
-        check(pollution(&crate::extensions::ext_pollution(&benches)));
+        check(staleness(&crate::extensions::ext_staleness(
+            &benches, &pool,
+        )));
+        check(pollution(&crate::extensions::ext_pollution(
+            &benches, &pool,
+        )));
     }
 
     #[test]

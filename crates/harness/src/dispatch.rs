@@ -9,13 +9,14 @@ use multiscalar_core::dolc::Dolc;
 use multiscalar_core::history::{GlobalPredictor, PathPredictor, PerTaskPredictor};
 use multiscalar_core::ideal::{IdealGlobal, IdealPath, IdealPer};
 use multiscalar_core::lane::{BatchedExitPredictor, LaneAutomaton};
-use multiscalar_core::predictor::{ExitPredictor, TaskPredictor};
+use multiscalar_core::predictor::{ExitPredictor, TaskDesc, TaskPredictor};
 use multiscalar_core::target::{Cttb, IdealCttb};
 use multiscalar_sim::measure::{
     measure_exits, measure_exits_batched, measure_exits_fused, measure_indirect_targets_fused,
     MissStats,
 };
 use multiscalar_sim::timing::NextTaskPredictor;
+use multiscalar_sim::trace::SharedTrace;
 
 /// The three history-generation schemes of paper §5.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,18 +46,30 @@ impl Scheme {
 /// Measures an *ideal* (alias-free) predictor of the given scheme and
 /// depth, with the LEH-2bit automaton (the paper's choice after Fig. 6).
 pub fn measure_ideal(scheme: Scheme, depth: u32, bench: &Bench) -> MissStats {
+    measure_ideal_on(scheme, depth, &bench.descs, &bench.trace.events)
+}
+
+/// [`measure_ideal`] over a bare task trace, for callers that hold a trace
+/// without a prepared [`Bench`] (the re-formed programs of
+/// [`crate::extensions::ext_taskform`]).
+pub fn measure_ideal_on(
+    scheme: Scheme,
+    depth: u32,
+    descs: &[TaskDesc],
+    events: &SharedTrace,
+) -> MissStats {
     match scheme {
         Scheme::Global => {
             let mut p: IdealGlobal<LastExitHysteresis<2>> = IdealGlobal::new(depth);
-            measure_exits(&mut p, &bench.descs, &bench.trace.events)
+            measure_exits(&mut p, descs, events)
         }
         Scheme::Per => {
             let mut p: IdealPer<LastExitHysteresis<2>> = IdealPer::new(depth);
-            measure_exits(&mut p, &bench.descs, &bench.trace.events)
+            measure_exits(&mut p, descs, events)
         }
         Scheme::Path => {
             let mut p: IdealPath<LastExitHysteresis<2>> = IdealPath::new(depth);
-            measure_exits(&mut p, &bench.descs, &bench.trace.events)
+            measure_exits(&mut p, descs, events)
         }
     }
 }

@@ -2,29 +2,81 @@
 //!
 //! * [`ext_staleness`] — the cost of the paper's §3.1 update-timing
 //!   idealisation, measured with delayed PHT training;
+//! * [`ext_pollution`] — the other §3.1 idealisation: wrong-path
+//!   pollution of the speculative path register, with and without repair;
 //! * [`ext_hybrid`] — a PATH/PER tournament predictor against its
 //!   components (the follow-on design Figure 7 invites);
 //! * [`ext_taskform`] — the paper's §3.2 claim that the *relative*
 //!   performance of predictors is consistent across compilations, tested
 //!   by re-partitioning every benchmark with three task-former budgets;
 //! * [`ext_memory`] — the timing simulator's ARB and register-forwarding
-//!   substrate models (violations, overflow stalls, release-at-end cost).
+//!   substrate models (violations, overflow stalls, release-at-end cost);
+//! * [`ext_intra`] — the processing units' intra-task branch predictor;
+//! * [`ext_confidence`] — CIR confidence-gated task speculation;
+//! * [`ext_zoo`] — predictor families beyond the paper, ranked on the
+//!   paper workloads and a pinned fuzz corpus.
+//!
+//! Like [`crate::experiments`], every extension fans its grid out on a
+//! [`Pool`] — (benchmark × configuration) for most, as documented on each
+//! function — and collects results in submission order, so any pool width
+//! produces byte-identical output. Every timing run replays the
+//! benchmark's recorded [`Bench::replay`]; none re-interprets the program.
 
-use crate::dispatch::{measure_ideal, Scheme};
+use crate::dispatch::{measure_ideal_on, Scheme};
+use crate::pool::{Job, Pool};
 use crate::{prepare, Bench};
 use multiscalar_core::automata::LastExitHysteresis;
 use multiscalar_core::dolc::Dolc;
 use multiscalar_core::history::{PathPredictor, PerTaskPredictor};
 use multiscalar_core::pollution::{PollutedExitAdapter, PollutedPathPredictor};
+use multiscalar_core::predictor::{TaskDesc, TaskPredictor};
 use multiscalar_core::stale::StalePathPredictor;
 use multiscalar_core::tournament::TournamentPredictor;
 use multiscalar_sim::measure::{measure_exits, task_descs};
-use multiscalar_sim::replay::{derive_trace, record_replay};
-use multiscalar_sim::timing::{simulate, ForwardingModel, TimingConfig};
+use multiscalar_sim::replay::{derive_trace, record_replay, simulate_replay, InstrReplay};
+use multiscalar_sim::timing::{ForwardingModel, NextTaskPredictor, TimingConfig, TimingResult};
+use multiscalar_sim::trace::{collect_trace, SharedTrace};
 use multiscalar_taskform::{TaskFormConfig, TaskFormer};
 use multiscalar_workloads::{Spec92, WorkloadParams};
 
 type Leh2 = LastExitHysteresis<2>;
+
+/// Fans `per_bench` jobs per benchmark out on `pool` — job `(b, i)` runs
+/// `job(b, i)` — and regroups the results per benchmark, in job order.
+fn fan_out<T: Send>(
+    benches: &[Bench],
+    per_bench: usize,
+    pool: &Pool,
+    job: impl Fn(&Bench, usize) -> T + Sync,
+) -> Vec<Vec<T>> {
+    let job = &job;
+    let jobs: Vec<Job<'_, T>> = benches
+        .iter()
+        .flat_map(|b| (0..per_bench).map(move |i| Box::new(move || job(b, i)) as Job<'_, T>))
+        .collect();
+    let mut results = pool.run(jobs).into_iter();
+    benches
+        .iter()
+        .map(|_| results.by_ref().take(per_bench).collect())
+        .collect()
+}
+
+/// Replays every benchmark under every config on `pool`, one job per
+/// (benchmark × config), each with a fresh predictor from `predictor`
+/// (`None` = perfect task prediction). Results are grouped per benchmark,
+/// in config order.
+fn replay_grid(
+    benches: &[Bench],
+    configs: &[TimingConfig],
+    pool: &Pool,
+    predictor: impl Fn() -> Option<Box<dyn NextTaskPredictor>> + Sync,
+) -> Vec<Vec<TimingResult>> {
+    fan_out(benches, configs.len(), pool, |b, i| {
+        let mut p = predictor();
+        let p = p.as_mut().map(|p| p.as_mut() as &mut dyn NextTaskPredictor);
+        simulate_replay(&b.replay, &b.descs, p, &configs[i])
+    })
+}
 
 /// Training delays swept by [`ext_staleness`].
 pub const STALENESS_DELAYS: [usize; 6] = [0, 1, 2, 4, 8, 16];
@@ -39,23 +91,20 @@ pub struct StalenessRow {
 }
 
 /// Measures how much accuracy delayed (realistic) PHT training costs,
-/// using the paper's 8 KB `6-5-8-9 (3)` PATH configuration.
-pub fn ext_staleness(benches: &[Bench]) -> Vec<StalenessRow> {
+/// using the paper's 8 KB `6-5-8-9 (3)` PATH configuration. One job per
+/// (benchmark × delay).
+pub fn ext_staleness(benches: &[Bench], pool: &Pool) -> Vec<StalenessRow> {
+    let miss = fan_out(benches, STALENESS_DELAYS.len(), pool, |b, i| {
+        let mut p: StalePathPredictor<Leh2> =
+            StalePathPredictor::new(Dolc::new(6, 5, 8, 9, 3), STALENESS_DELAYS[i]);
+        measure_exits(&mut p, &b.descs, &b.trace.events).miss_rate()
+    });
     benches
         .iter()
-        .map(|b| {
-            let miss = STALENESS_DELAYS
-                .iter()
-                .map(|&d| {
-                    let mut p: StalePathPredictor<Leh2> =
-                        StalePathPredictor::new(Dolc::new(6, 5, 8, 9, 3), d);
-                    measure_exits(&mut p, &b.descs, &b.trace.events).miss_rate()
-                })
-                .collect();
-            StalenessRow {
-                name: b.name(),
-                miss,
-            }
+        .zip(miss)
+        .map(|(b, miss)| StalenessRow {
+            name: b.name(),
+            miss,
         })
         .collect()
 }
@@ -73,27 +122,31 @@ pub struct HybridRow {
     pub hybrid: f64,
 }
 
-/// Measures the PATH/PER tournament predictor against its components.
-pub fn ext_hybrid(benches: &[Bench]) -> Vec<HybridRow> {
+/// Measures the PATH/PER tournament predictor against its components. One
+/// job per (benchmark × component), the tournament counting as one.
+pub fn ext_hybrid(benches: &[Bench], pool: &Pool) -> Vec<HybridRow> {
+    let rates = fan_out(benches, 3, pool, |b, component| {
+        let path = || PathPredictor::<Leh2>::new(Dolc::new(6, 5, 8, 9, 3));
+        let per = || PerTaskPredictor::<Leh2>::new(7, 8, 6);
+        let stats = match component {
+            0 => measure_exits(&mut path(), &b.descs, &b.trace.events),
+            1 => measure_exits(&mut per(), &b.descs, &b.trace.events),
+            _ => measure_exits(
+                &mut TournamentPredictor::new(path(), per(), 10),
+                &b.descs,
+                &b.trace.events,
+            ),
+        };
+        stats.miss_rate()
+    });
     benches
         .iter()
-        .map(|b| {
-            let mut path: PathPredictor<Leh2> = PathPredictor::new(Dolc::new(6, 5, 8, 9, 3));
-            let path_rate = measure_exits(&mut path, &b.descs, &b.trace.events).miss_rate();
-            let mut per: PerTaskPredictor<Leh2> = PerTaskPredictor::new(7, 8, 6);
-            let per_rate = measure_exits(&mut per, &b.descs, &b.trace.events).miss_rate();
-            let mut hybrid = TournamentPredictor::new(
-                PathPredictor::<Leh2>::new(Dolc::new(6, 5, 8, 9, 3)),
-                PerTaskPredictor::<Leh2>::new(7, 8, 6),
-                10,
-            );
-            let hybrid_rate = measure_exits(&mut hybrid, &b.descs, &b.trace.events).miss_rate();
-            HybridRow {
-                name: b.name(),
-                path: path_rate,
-                per: per_rate,
-                hybrid: hybrid_rate,
-            }
+        .zip(rates)
+        .map(|(b, rates)| HybridRow {
+            name: b.name(),
+            path: rates[0],
+            per: rates[1],
+            hybrid: rates[2],
         })
         .collect()
 }
@@ -140,41 +193,31 @@ pub struct TaskformRow {
 
 /// Re-partitions every benchmark with three task budgets and re-measures
 /// the three history schemes — the paper's "relative performance of
-/// predictors is very consistent across ... compilations" (§3.2).
-pub fn ext_taskform(params: &WorkloadParams) -> Vec<TaskformRow> {
-    let mut rows = Vec::new();
-    for spec in Spec92::ALL {
-        let w = spec.build(params);
+/// predictors is very consistent across ... compilations" (§3.2). One job
+/// per (benchmark × budget); each takes its task trace from one
+/// interpreter pass and keeps no recording.
+pub fn ext_taskform(params: &WorkloadParams, pool: &Pool) -> Vec<TaskformRow> {
+    let workloads: Vec<_> = Spec92::ALL.iter().map(|spec| spec.build(params)).collect();
+    let mut jobs: Vec<Job<'_, TaskformRow>> = Vec::new();
+    for (spec, w) in Spec92::ALL.into_iter().zip(&workloads) {
         for (label, config) in TASKFORM_CONFIGS {
-            let tasks = TaskFormer::new(config).form(&w.program).expect("formation");
-            let replay =
-                record_replay(&w.program, &tasks, w.max_steps).expect("recording succeeds");
-            let trace = derive_trace(&replay, &tasks);
-            let descs = task_descs(&tasks);
-            let key = crate::cache::replay_key(spec, params, &w.program, &tasks, w.max_steps);
-            let bench = Bench {
-                spec,
-                workload: w.clone(),
-                tasks,
-                descs,
-                replay: replay.into_shared(),
-                key,
-                trace,
-            };
-            let miss = [
-                measure_ideal(Scheme::Global, 7, &bench).miss_rate(),
-                measure_ideal(Scheme::Per, 7, &bench).miss_rate(),
-                measure_ideal(Scheme::Path, 7, &bench).miss_rate(),
-            ];
-            rows.push(TaskformRow {
-                name: spec.name(),
-                config: label,
-                dynamic_tasks: bench.trace.stats.dynamic_tasks,
-                miss,
-            });
+            jobs.push(Box::new(move || {
+                let tasks = TaskFormer::new(config).form(&w.program).expect("formation");
+                let trace = collect_trace(&w.program, &tasks, w.max_steps)
+                    .expect("re-formed programs trace");
+                let descs = task_descs(&tasks);
+                TaskformRow {
+                    name: spec.name(),
+                    config: label,
+                    dynamic_tasks: trace.stats.dynamic_tasks,
+                    miss: Scheme::ALL.map(|scheme| {
+                        measure_ideal_on(scheme, 7, &descs, &trace.events).miss_rate()
+                    }),
+                }
+            }));
         }
     }
-    rows
+    pool.run(jobs)
 }
 
 /// One row of the memory-substrate study.
@@ -199,33 +242,31 @@ pub struct MemoryRow {
 }
 
 /// Measures the substrate models: register-forwarding policy and the ARB.
-pub fn ext_memory(benches: &[Bench]) -> Vec<MemoryRow> {
+/// One job per (benchmark × config), each replaying the recording with
+/// perfect task prediction.
+pub fn ext_memory(benches: &[Bench], pool: &Pool) -> Vec<MemoryRow> {
+    let default = TimingConfig::paper();
+    let configs = [
+        default,
+        default.forwarding(ForwardingModel::ReleaseAtEnd),
+        default.arb(None),
+        // Per-retirement head commit drains the ARB fast enough that a
+        // 4-entry bank no longer overflows everywhere; a single entry
+        // still demonstrates overflow stalls on every benchmark.
+        default.arb(Some(multiscalar_sim::arb::ArbConfig {
+            banks: 1,
+            entries_per_bank: 1,
+            stages: 4,
+        })),
+    ];
+    let runs = replay_grid(benches, &configs, pool, || None);
     benches
         .iter()
-        .map(|b| {
-            let run = |config: &TimingConfig| {
-                simulate(
-                    &b.workload.program,
-                    &b.tasks,
-                    &b.descs,
-                    None,
-                    config,
-                    b.workload.max_steps,
-                )
-                .expect("timing succeeds")
+        .zip(runs)
+        .map(|(b, runs)| {
+            let [eager, release, ideal_mem, tiny] = &runs[..] else {
+                unreachable!("one run per config")
             };
-            let default = TimingConfig::paper();
-            let eager = run(&default);
-            let release = run(&default.forwarding(ForwardingModel::ReleaseAtEnd));
-            let ideal_mem = run(&default.arb(None));
-            // Per-retirement head commit drains the ARB fast enough that a
-            // 4-entry bank no longer overflows everywhere; a single entry
-            // still demonstrates overflow stalls on every benchmark.
-            let tiny = run(&default.arb(Some(multiscalar_sim::arb::ArbConfig {
-                banks: 1,
-                entries_per_bank: 1,
-                stages: 4,
-            })));
             MemoryRow {
                 name: b.name(),
                 eager_ipc: eager.ipc(),
@@ -255,22 +296,29 @@ pub struct PollutionRow {
 }
 
 /// Measures the paper's second §3.1 idealisation: wrong-path pollution of
-/// the speculative path register, with and without recovery repair.
-pub fn ext_pollution(benches: &[Bench]) -> Vec<PollutionRow> {
+/// the speculative path register, with and without recovery repair. One
+/// job per (benchmark × depth): every unrepaired depth, then repaired at
+/// depth 4.
+pub fn ext_pollution(benches: &[Bench], pool: &Pool) -> Vec<PollutionRow> {
     let dolc = Dolc::new(6, 5, 8, 9, 3);
+    let runs: Vec<(usize, bool)> = POLLUTION_DEPTHS
+        .iter()
+        .map(|&d| (d, false))
+        .chain([(4, true)])
+        .collect();
+    let miss = fan_out(benches, runs.len(), pool, |b, i| {
+        let (depth, repair) = runs[i];
+        let mut p: PollutedExitAdapter<Leh2> =
+            PollutedExitAdapter::new(PollutedPathPredictor::new(dolc, depth, repair));
+        measure_exits(&mut p, &b.descs, &b.trace.events).miss_rate()
+    });
     benches
         .iter()
-        .map(|b| {
-            let run = |depth: usize, repair: bool| {
-                let mut p: PollutedExitAdapter<Leh2> =
-                    PollutedExitAdapter::new(PollutedPathPredictor::new(dolc, depth, repair));
-                measure_exits(&mut p, &b.descs, &b.trace.events).miss_rate()
-            };
-            PollutionRow {
-                name: b.name(),
-                unrepaired: POLLUTION_DEPTHS.iter().map(|&d| run(d, false)).collect(),
-                repaired: run(4, true),
-            }
+        .zip(miss)
+        .map(|(b, mut miss)| PollutionRow {
+            name: b.name(),
+            repaired: miss.pop().expect("repaired run"),
+            unrepaired: miss,
         })
         .collect()
 }
@@ -288,36 +336,25 @@ pub struct IntraRow {
 }
 
 /// Ablates the processing units' intra-task branch predictor (the paper
-/// uses a bimodal and reports "minimal accuracy loss"; §2.2).
-pub fn ext_intra(benches: &[Bench]) -> Vec<IntraRow> {
+/// uses a bimodal and reports "minimal accuracy loss"; §2.2). One job per
+/// (benchmark × predictor kind), each replaying the recording with perfect
+/// task prediction.
+pub fn ext_intra(benches: &[Bench], pool: &Pool) -> Vec<IntraRow> {
     use multiscalar_sim::timing::IntraPredictorKind;
+    let configs = [
+        IntraPredictorKind::Bimodal,
+        IntraPredictorKind::Gshare,
+        IntraPredictorKind::McFarling,
+    ]
+    .map(|kind| TimingConfig::paper().intra_predictor(kind));
+    let runs = replay_grid(benches, &configs, pool, || None);
     benches
         .iter()
-        .map(|b| {
-            let run = |kind: IntraPredictorKind| {
-                let config = TimingConfig::paper().intra_predictor(kind);
-                simulate(
-                    &b.workload.program,
-                    &b.tasks,
-                    &b.descs,
-                    None,
-                    &config,
-                    b.workload.max_steps,
-                )
-                .expect("timing succeeds")
-            };
-            let bi = run(IntraPredictorKind::Bimodal);
-            let gs = run(IntraPredictorKind::Gshare);
-            let mc = run(IntraPredictorKind::McFarling);
-            IntraRow {
-                name: b.name(),
-                ipc: [bi.ipc(), gs.ipc(), mc.ipc()],
-                mispredicts: [
-                    bi.intra_mispredicts,
-                    gs.intra_mispredicts,
-                    mc.intra_mispredicts,
-                ],
-            }
+        .zip(runs)
+        .map(|(b, runs)| IntraRow {
+            name: b.name(),
+            ipc: std::array::from_fn(|i| runs[i].ipc()),
+            mispredicts: std::array::from_fn(|i| runs[i].intra_mispredicts),
         })
         .collect()
 }
@@ -339,34 +376,23 @@ pub struct ConfidenceRow {
 
 /// Measures confidence-gated speculation (Jacobson/Rotenberg/Smith's CIR
 /// estimator on task predictions): low-confidence boundaries stall instead
-/// of risking a squash.
-pub fn ext_confidence(benches: &[Bench]) -> Vec<ConfidenceRow> {
-    use multiscalar_sim::timing::NextTaskPredictor;
+/// of risking a squash. One job per (benchmark × gate setting), each
+/// replaying the recording under a fresh PATH task predictor.
+pub fn ext_confidence(benches: &[Bench], pool: &Pool) -> Vec<ConfidenceRow> {
+    let default = TimingConfig::paper();
+    let configs = [default, default.confidence_gate(Some(8))];
+    let runs = replay_grid(benches, &configs, pool, || {
+        Some(Box::new(TaskPredictor::<PathPredictor<Leh2>>::path(
+            Dolc::new(7, 5, 7, 8, 3),
+            Dolc::new(7, 4, 4, 5, 3),
+            64,
+        )))
+    });
     benches
         .iter()
-        .map(|b| {
-            let make = || {
-                multiscalar_core::predictor::TaskPredictor::<PathPredictor<Leh2>>::path(
-                    Dolc::new(7, 5, 7, 8, 3),
-                    Dolc::new(7, 4, 4, 5, 3),
-                    64,
-                )
-            };
-            let run = |config: &TimingConfig| {
-                let mut p = make();
-                simulate(
-                    &b.workload.program,
-                    &b.tasks,
-                    &b.descs,
-                    Some(&mut p as &mut dyn NextTaskPredictor),
-                    config,
-                    b.workload.max_steps,
-                )
-                .expect("timing succeeds")
-            };
-            let default = TimingConfig::paper();
-            let always = run(&default);
-            let gated = run(&default.confidence_gate(Some(8)));
+        .zip(runs)
+        .map(|(b, runs)| {
+            let (always, gated) = (&runs[0], &runs[1]);
             ConfidenceRow {
                 name: b.name(),
                 always_ipc: always.ipc(),
@@ -382,7 +408,7 @@ pub fn ext_confidence(benches: &[Bench]) -> Vec<ConfidenceRow> {
 /// never does much worse than its best component.
 pub fn hybrid_sanity(spec: Spec92, params: &WorkloadParams) -> (f64, f64, f64) {
     let b = prepare(spec, params);
-    let row = &ext_hybrid(std::slice::from_ref(&b))[0];
+    let row = &ext_hybrid(std::slice::from_ref(&b), &Pool::new(1))[0];
     (row.path, row.per, row.hybrid)
 }
 
@@ -441,33 +467,58 @@ fn zoo_exit(family: usize) -> Box<dyn multiscalar_core::predictor::ExitPredictor
     }
 }
 
-/// Scores every family on one prepared input: miss rate over the trace,
-/// squash-cycle fraction from a timing run on the recording (Table 4's
-/// CTTB/RAS sizing, so only the exit predictor varies between columns).
-fn zoo_score(bench: &Bench) -> Vec<ZooCell> {
-    use multiscalar_core::predictor::TaskPredictor;
+/// Raw counts behind a [`ZooCell`], summed across inputs before dividing.
+#[derive(Debug, Clone, Copy, Default)]
+struct ZooTally {
+    misses: u64,
+    predictions: u64,
+    squash: u64,
+    cycles: u64,
+}
+
+impl ZooTally {
+    fn add(&mut self, other: ZooTally) {
+        self.misses += other.misses;
+        self.predictions += other.predictions;
+        self.squash += other.squash;
+        self.cycles += other.cycles;
+    }
+
+    fn cell(self) -> ZooCell {
+        ZooCell {
+            miss: self.misses as f64 / self.predictions.max(1) as f64,
+            squash: self.squash as f64 / self.cycles.max(1) as f64,
+        }
+    }
+}
+
+/// Scores one family on one input: exit misses over the trace, and
+/// squash cycles from a timing run on the recording (Table 4's CTTB/RAS
+/// sizing, so only the exit predictor varies between columns).
+fn zoo_tally(
+    family: usize,
+    descs: &[TaskDesc],
+    events: &SharedTrace,
+    replay: &InstrReplay,
+) -> ZooTally {
     use multiscalar_sim::metrics::{Cause, CycleBreakdown};
     use multiscalar_sim::replay::simulate_replay_with_sink;
-    use multiscalar_sim::timing::NextTaskPredictor;
-    (0..ZOO_FAMILIES.len())
-        .map(|family| {
-            let mut exit = zoo_exit(family);
-            let miss = measure_exits(&mut exit, &bench.descs, &bench.trace.events).miss_rate();
-            let mut tp = TaskPredictor::new(zoo_exit(family), Dolc::new(7, 4, 4, 5, 3), 64);
-            let mut bd = CycleBreakdown::new();
-            let result = simulate_replay_with_sink(
-                &bench.replay,
-                &bench.descs,
-                Some(&mut tp as &mut dyn NextTaskPredictor),
-                &TimingConfig::paper(),
-                &mut bd,
-            );
-            ZooCell {
-                miss,
-                squash: bd.get(Cause::SquashRefill) as f64 / result.cycles.max(1) as f64,
-            }
-        })
-        .collect()
+    let stats = measure_exits(&mut zoo_exit(family), descs, events);
+    let mut tp = TaskPredictor::new(zoo_exit(family), Dolc::new(7, 4, 4, 5, 3), 64);
+    let mut bd = CycleBreakdown::new();
+    let result = simulate_replay_with_sink(
+        replay,
+        descs,
+        Some(&mut tp as &mut dyn NextTaskPredictor),
+        &TimingConfig::paper(),
+        &mut bd,
+    );
+    ZooTally {
+        misses: stats.misses,
+        predictions: stats.predictions,
+        squash: bd.get(Cause::SquashRefill),
+        cycles: result.cycles,
+    }
 }
 
 /// Ranks the predictor zoo on the five paper benchmarks plus the pinned
@@ -476,63 +527,69 @@ fn zoo_score(bench: &Bench) -> Vec<ZooCell> {
 /// corpus row aggregates misses and cycles across all corpus programs
 /// (predictions and cycles summed before the division, so longer programs
 /// weigh more, exactly as in a merged trace).
-pub fn ext_zoo(benches: &[Bench]) -> Vec<ZooRow> {
-    use multiscalar_core::predictor::TaskPredictor;
-    use multiscalar_sim::metrics::{Cause, CycleBreakdown};
-    use multiscalar_sim::replay::simulate_replay_with_sink;
-    use multiscalar_sim::timing::NextTaskPredictor;
+///
+/// One job per (benchmark × family), then one per corpus seed: a seed job
+/// generates, forms and records its program and scores every family on
+/// that recording. Corpus tallies are summed in seed order.
+pub fn ext_zoo(benches: &[Bench], pool: &Pool) -> Vec<ZooRow> {
     use multiscalar_workloads::fuzz::{fuzz_program, FuzzShape, MAX_STEPS};
+
+    let families = ZOO_FAMILIES.len();
+    // Every job reports the dynamic tasks of its input and one tally per
+    // family it scored.
+    let mut jobs: Vec<Job<'_, (u64, Vec<ZooTally>)>> = Vec::new();
+    for b in benches {
+        for family in 0..families {
+            jobs.push(Box::new(move || {
+                let tally = zoo_tally(family, &b.descs, &b.trace.events, &b.replay);
+                (b.trace.stats.dynamic_tasks, vec![tally])
+            }));
+        }
+    }
+    for seed in ZOO_CORPUS_SEEDS {
+        jobs.push(Box::new(move || {
+            let program = fuzz_program(seed, &FuzzShape::from_seed(seed));
+            let tasks = TaskFormer::default()
+                .form(&program)
+                .expect("fuzz programs always form");
+            let replay =
+                record_replay(&program, &tasks, MAX_STEPS).expect("fuzz programs always record");
+            let trace = derive_trace(&replay, &tasks);
+            let descs = task_descs(&tasks);
+            let tallies = (0..families)
+                .map(|family| zoo_tally(family, &descs, &trace.events, &replay))
+                .collect();
+            (trace.stats.dynamic_tasks, tallies)
+        }));
+    }
+    let mut results = pool.run(jobs).into_iter();
 
     let mut rows: Vec<ZooRow> = benches
         .iter()
         .map(|b| ZooRow {
             name: b.name().to_string(),
             dynamic_tasks: b.trace.stats.dynamic_tasks,
-            cells: zoo_score(b),
+            cells: results
+                .by_ref()
+                .take(families)
+                .map(|(_, tallies)| tallies[0].cell())
+                .collect(),
         })
         .collect();
 
     // The fuzz corpus: one aggregate row over every pinned seed.
     let mut dynamic_tasks = 0u64;
-    let mut agg = vec![(0u64, 0u64, 0u64, 0u64); ZOO_FAMILIES.len()]; // (misses, predictions, squash, cycles)
-    for seed in ZOO_CORPUS_SEEDS {
-        let program = fuzz_program(seed, &FuzzShape::from_seed(seed));
-        let tasks = TaskFormer::default()
-            .form(&program)
-            .expect("fuzz programs always form");
-        let replay =
-            record_replay(&program, &tasks, MAX_STEPS).expect("fuzz programs always record");
-        let trace = derive_trace(&replay, &tasks);
-        let descs = task_descs(&tasks);
-        dynamic_tasks += trace.stats.dynamic_tasks;
-        for (family, slot) in agg.iter_mut().enumerate() {
-            let mut exit = zoo_exit(family);
-            let stats = measure_exits(&mut exit, &descs, &trace.events);
-            let mut tp = TaskPredictor::new(zoo_exit(family), Dolc::new(7, 4, 4, 5, 3), 64);
-            let mut bd = CycleBreakdown::new();
-            let result = simulate_replay_with_sink(
-                &replay,
-                &descs,
-                Some(&mut tp as &mut dyn NextTaskPredictor),
-                &TimingConfig::paper(),
-                &mut bd,
-            );
-            slot.0 += stats.misses;
-            slot.1 += stats.predictions;
-            slot.2 += bd.get(Cause::SquashRefill);
-            slot.3 += result.cycles;
+    let mut agg = vec![ZooTally::default(); families];
+    for (seed_tasks, tallies) in results {
+        dynamic_tasks += seed_tasks;
+        for (slot, tally) in agg.iter_mut().zip(tallies) {
+            slot.add(tally);
         }
     }
     rows.push(ZooRow {
         name: "fuzz-corpus".to_string(),
         dynamic_tasks,
-        cells: agg
-            .into_iter()
-            .map(|(misses, predictions, squash, cycles)| ZooCell {
-                miss: misses as f64 / predictions.max(1) as f64,
-                squash: squash as f64 / cycles.max(1) as f64,
-            })
-            .collect(),
+        cells: agg.into_iter().map(ZooTally::cell).collect(),
     });
     rows
 }

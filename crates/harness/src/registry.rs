@@ -86,7 +86,8 @@ impl Needs {
         trace: true,
         replay: false,
     };
-    /// Timing runs riding the recording (Table 4, `profile`).
+    /// Timing runs riding the recording (Table 4, `profile`, `ext-memory`,
+    /// `ext-intra`, `ext-confidence`).
     pub const REPLAY: Needs = Needs {
         trace: false,
         replay: true,
@@ -561,9 +562,9 @@ pub const REGISTRY: &[Experiment] = &[
         benches: BenchSet::All,
         needs: Needs::TRACE,
         kind: Kind::Rendered {
-            render: |c| report::render_staleness(&extensions::ext_staleness(c.prep.all())),
+            render: |c| report::render_staleness(&extensions::ext_staleness(c.prep.all(), c.pool)),
             csv: Some(("ext_staleness.csv", |c| {
-                csv::staleness(&extensions::ext_staleness(c.prep.all()))
+                csv::staleness(&extensions::ext_staleness(c.prep.all(), c.pool))
             })),
             json: None,
             artifact: None,
@@ -576,7 +577,7 @@ pub const REGISTRY: &[Experiment] = &[
         benches: BenchSet::All,
         needs: Needs::TRACE,
         kind: Kind::Rendered {
-            render: |c| report::render_hybrid(&extensions::ext_hybrid(c.prep.all())),
+            render: |c| report::render_hybrid(&extensions::ext_hybrid(c.prep.all(), c.pool)),
             csv: None,
             json: None,
             artifact: None,
@@ -589,7 +590,7 @@ pub const REGISTRY: &[Experiment] = &[
         benches: BenchSet::None,
         needs: Needs::NONE,
         kind: Kind::Rendered {
-            render: |c| report::render_taskform(&extensions::ext_taskform(&c.params)),
+            render: |c| report::render_taskform(&extensions::ext_taskform(&c.params, c.pool)),
             csv: None,
             json: None,
             artifact: None,
@@ -600,9 +601,9 @@ pub const REGISTRY: &[Experiment] = &[
         name: "ext-memory",
         group: Group::Ext,
         benches: BenchSet::All,
-        needs: Needs::TRACE,
+        needs: Needs::REPLAY,
         kind: Kind::Rendered {
-            render: |c| report::render_memory(&extensions::ext_memory(c.prep.all())),
+            render: |c| report::render_memory(&extensions::ext_memory(c.prep.all(), c.pool)),
             csv: None,
             json: None,
             artifact: None,
@@ -613,9 +614,11 @@ pub const REGISTRY: &[Experiment] = &[
         name: "ext-confidence",
         group: Group::Ext,
         benches: BenchSet::All,
-        needs: Needs::TRACE,
+        needs: Needs::REPLAY,
         kind: Kind::Rendered {
-            render: |c| report::render_confidence(&extensions::ext_confidence(c.prep.all())),
+            render: |c| {
+                report::render_confidence(&extensions::ext_confidence(c.prep.all(), c.pool))
+            },
             csv: None,
             json: None,
             artifact: None,
@@ -626,9 +629,9 @@ pub const REGISTRY: &[Experiment] = &[
         name: "ext-intra",
         group: Group::Ext,
         benches: BenchSet::All,
-        needs: Needs::TRACE,
+        needs: Needs::REPLAY,
         kind: Kind::Rendered {
-            render: |c| report::render_intra(&extensions::ext_intra(c.prep.all())),
+            render: |c| report::render_intra(&extensions::ext_intra(c.prep.all(), c.pool)),
             csv: None,
             json: None,
             artifact: None,
@@ -641,9 +644,9 @@ pub const REGISTRY: &[Experiment] = &[
         benches: BenchSet::All,
         needs: Needs::TRACE,
         kind: Kind::Rendered {
-            render: |c| report::render_pollution(&extensions::ext_pollution(c.prep.all())),
+            render: |c| report::render_pollution(&extensions::ext_pollution(c.prep.all(), c.pool)),
             csv: Some(("ext_pollution.csv", |c| {
-                csv::pollution(&extensions::ext_pollution(c.prep.all()))
+                csv::pollution(&extensions::ext_pollution(c.prep.all(), c.pool))
             })),
             json: None,
             artifact: None,
@@ -656,7 +659,7 @@ pub const REGISTRY: &[Experiment] = &[
         benches: BenchSet::All,
         needs: Needs::BOTH,
         kind: Kind::Rendered {
-            render: |c| report::render_zoo(&extensions::ext_zoo(c.prep.all())),
+            render: |c| report::render_zoo(&extensions::ext_zoo(c.prep.all(), c.pool)),
             csv: None,
             json: None,
             artifact: None,

@@ -30,12 +30,12 @@ fn every_renderer_produces_named_tables() {
         report::render_fig11(&experiments::fig11(&benches, &pool)),
         report::render_fig12(&experiments::fig12(&benches, &pool)),
         report::render_table3(&experiments::table3(&benches, &pool)),
-        report::render_staleness(&extensions::ext_staleness(&benches)),
-        report::render_pollution(&extensions::ext_pollution(&benches)),
-        report::render_hybrid(&extensions::ext_hybrid(&benches)),
-        report::render_memory(&extensions::ext_memory(&benches)),
-        report::render_confidence(&extensions::ext_confidence(&benches)),
-        report::render_intra(&extensions::ext_intra(&benches)),
+        report::render_staleness(&extensions::ext_staleness(&benches, &pool)),
+        report::render_pollution(&extensions::ext_pollution(&benches, &pool)),
+        report::render_hybrid(&extensions::ext_hybrid(&benches, &pool)),
+        report::render_memory(&extensions::ext_memory(&benches, &pool)),
+        report::render_confidence(&extensions::ext_confidence(&benches, &pool)),
+        report::render_intra(&extensions::ext_intra(&benches, &pool)),
     ];
     for out in outputs {
         assert!(out.lines().count() >= 3, "degenerate table:\n{out}");

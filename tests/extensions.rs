@@ -4,6 +4,7 @@
 use multiscalar::harness::extensions::{
     ext_confidence, ext_hybrid, ext_memory, ext_pollution, ext_staleness, ext_taskform,
 };
+use multiscalar::harness::pool::Pool;
 use multiscalar::harness::{prepare, prepare_all};
 use multiscalar::workloads::{Spec92, WorkloadParams};
 
@@ -19,7 +20,7 @@ fn params() -> WorkloadParams {
 #[test]
 fn staleness_is_nearly_free() {
     let b = prepare(Spec92::Gcc, &params());
-    let rows = ext_staleness(std::slice::from_ref(&b));
+    let rows = ext_staleness(std::slice::from_ref(&b), &Pool::new(2));
     let miss = &rows[0].miss;
     let spread = miss
         .iter()
@@ -38,7 +39,7 @@ fn staleness_is_nearly_free() {
 #[test]
 fn hybrid_tracks_the_better_component() {
     let benches = prepare_all(&params());
-    let rows = ext_hybrid(&benches);
+    let rows = ext_hybrid(&benches, &Pool::new(2));
     let mut strict_win = false;
     for r in &rows {
         let best = r.path.min(r.per);
@@ -63,7 +64,7 @@ fn hybrid_tracks_the_better_component() {
 /// default and large task budgets on the hard benchmarks.
 #[test]
 fn predictor_ordering_survives_reforming() {
-    let rows = ext_taskform(&params());
+    let rows = ext_taskform(&params(), &Pool::new(2));
     for r in rows {
         if r.config.starts_with("small") {
             continue; // tiny tasks push context beyond the window — see EXPERIMENTS.md
@@ -85,7 +86,7 @@ fn predictor_ordering_survives_reforming() {
 #[test]
 fn memory_substrate_orderings() {
     let benches = prepare_all(&params());
-    for r in ext_memory(&benches) {
+    for r in ext_memory(&benches, &Pool::new(2)) {
         assert!(
             r.release_ipc <= r.eager_ipc + 1e-9,
             "{}: release-at-end cannot beat eager forwarding",
@@ -117,7 +118,7 @@ fn confidence_gating_helps_hard_benchmarks() {
         .iter()
         .map(|&s| prepare(s, &params()))
         .collect();
-    for r in ext_confidence(&benches) {
+    for r in ext_confidence(&benches, &Pool::new(2)) {
         assert!(
             r.miss_rate > 0.05,
             "{}: this test targets hard benchmarks",
@@ -140,7 +141,7 @@ fn confidence_gating_helps_hard_benchmarks() {
 #[test]
 fn pollution_repair_is_exactly_free() {
     let b = prepare(Spec92::Gcc, &params());
-    let rows = ext_pollution(std::slice::from_ref(&b));
+    let rows = ext_pollution(std::slice::from_ref(&b), &Pool::new(2));
     let r = &rows[0];
     assert!(
         (r.repaired - r.unrepaired[0]).abs() < 1e-12,
