@@ -29,10 +29,6 @@
 //! println!("{} dynamic tasks", rows[0].dynamic_tasks);
 //! ```
 
-pub mod bench_pr1;
-pub mod bench_pr2;
-pub mod bench_pr5;
-pub mod bench_pr6;
 pub mod cache;
 pub mod csv;
 pub mod dispatch;

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! harness <experiment> [--seed N] [--scale N] [--bench NAME] [--threads N]
-//!                      [--engine legacy|replay] [--format text|csv|json]
-//!                      [--cache-dir DIR] [--no-cache]
+//!                      [--format text|csv|json] [--cache-dir DIR] [--no-cache]
 //! harness serve [--socket PATH] [--result-max-bytes N] [...]
 //!
 //! experiments: table2 fig3 fig4 fig6 fig7 fig8 fig10 fig11 fig12
@@ -16,8 +15,8 @@
 //! with `harness serve` — and render the structured
 //! [`registry::Output`]: body to stdout, artifact files to disk, `ok` to
 //! the exit code, errors to stderr. Every subcommand, including the
-//! tools (`lint`, `fuzz`, `verify`, `cache`, `bench-pr*`), is a registry
-//! entry; nothing dispatches outside the registry.
+//! tools (`lint`, `fuzz`, `verify`, `cache`), is a registry entry;
+//! nothing dispatches outside the registry.
 //!
 //! Benchmarks are prepared **once** per invocation (traces are shared,
 //! immutable, behind `Arc`) through the on-disk artifact cache
@@ -74,11 +73,6 @@ fn parse_args() -> Result<Invocation, String> {
             "--cache-dir" => cache_dir = Some(std::path::PathBuf::from(value()?)),
             "--no-cache" => no_cache = true,
             "--occupancy" => request.opts.occupancy = true,
-            "--engine" => {
-                let name = value()?;
-                request.engine = multiscalar_harness::experiments::Engine::from_name(&name)
-                    .ok_or(format!("unknown engine `{name}` (legacy|replay)"))?;
-            }
             "--threads" => {
                 pool = Pool::new(
                     value()?
@@ -153,9 +147,8 @@ fn usage() -> String {
     "usage: harness <table2|fig3|fig4|fig6|fig7|fig8|fig10|fig11|fig12|table3|table4|all|\
      ext-staleness|ext-hybrid|ext-taskform|ext-memory|ext-confidence|ext-intra|ext-pollution|ext|\
      profile|csv|verify|lint [FILE.masm]|asm FILE.masm|disasm FILE.masm|fuzz|\
-     cache stats|cache clear|cache gc|bench-pr1|bench-pr2|bench-pr5|\
-     bench-pr6|serve> \
-     [--seed N] [--scale N] [--bench NAME] [--csv DIR] [--threads N] [--engine legacy|replay] \
+     cache stats|cache clear|cache gc|serve> \
+     [--seed N] [--scale N] [--bench NAME] [--csv DIR] [--threads N] \
      [--deny warnings] [--format text|csv|json] [--json] [--occupancy] [--smoke] \
      [--cache-dir DIR] [--no-cache] [--cache-max-bytes N] [--seeds A..B] [--repro FILE] \
      [--explain CODE] [--speculation] [--file FILE.masm] [--socket PATH] [--result-max-bytes N]"

@@ -6,8 +6,8 @@
 //! [`Cause`] (the attribution sums to `TimingResult::cycles` exactly; the
 //! sink asserts it). Runs ride the recorded replay in [`Bench::replay`]
 //! (served from the artifact cache when warm) — the attribution is
-//! engine-independent, which `tests/profile.rs` checks against the legacy
-//! interpreter. With `--occupancy` a [`UnitOccupancy`] sink rides the same
+//! engine-independent, which `tests/profile.rs` checks against the
+//! interpreter-driven oracle. With `--occupancy` a [`UnitOccupancy`] sink rides the same
 //! pass and three per-unit utilisation columns join the output (the
 //! default output stays byte-identical). [`events_jsonl`] exposes the
 //! task-level JSON-lines event log of a single run for the same grid.

@@ -1,6 +1,6 @@
 //! The typed experiment protocol shared by the CLI and `harness serve`.
 //!
-//! One [`Request`] describes one experiment run — name, engine, workload
+//! One [`Request`] describes one experiment run — name, workload
 //! parameters, output format, tool options — and one [`Response`] carries
 //! its structured outcome. `parse_args` (the CLI) and the serve protocol
 //! both deserialise into the same `Request`, and both render errors from
@@ -23,7 +23,6 @@
 //! `{"experiment":"table2","bogus":1}` yields
 //! `{"ok":false,"error":"unknown field `bogus`"}`.
 
-use crate::experiments::Engine;
 use multiscalar_workloads::{Spec92, WorkloadParams};
 
 /// Which rendering of an experiment's one run a request asks for.
@@ -102,7 +101,7 @@ pub struct ToolOpts {
     pub deny_warnings: bool,
     /// Render the speculation-quality report (`lint --speculation`).
     pub speculation: bool,
-    /// Run the pinned CI configuration (`fuzz --smoke`, `bench-pr6 --smoke`).
+    /// Run the pinned CI configuration (`fuzz --smoke`).
     pub smoke: bool,
     /// Explain one diagnostic code (`lint --explain CODE`).
     pub explain: Option<String>,
@@ -132,8 +131,6 @@ pub struct Request {
     pub experiment: String,
     /// Workload parameters (seed, scale).
     pub params: WorkloadParams,
-    /// Which engine drives timing runs (`--engine`; replay by default).
-    pub engine: Engine,
     /// Narrow preparation to one benchmark (`--bench`).
     pub bench: Option<Spec92>,
     /// Which rendering of the run to return.
@@ -149,7 +146,6 @@ impl Request {
         Request {
             experiment: experiment.into(),
             params: WorkloadParams::standard(0xC0FFEE),
-            engine: Engine::default(),
             bench: None,
             format: OutputFormat::default(),
             opts: ToolOpts::default(),
@@ -168,7 +164,6 @@ impl Request {
         w.field_str("experiment", &self.experiment);
         w.field_num("seed", self.params.seed as i128);
         w.field_num("scale", self.params.scale as i128);
-        w.field_str("engine", self.engine.name());
         if let Some(b) = self.bench {
             w.field_str("bench", b.name());
         }
@@ -219,11 +214,6 @@ impl Request {
             "scale" => {
                 self.params.scale = u32::try_from(value.as_u64(key)?)
                     .map_err(|_| format!("bad value for `{key}`"))?
-            }
-            "engine" => {
-                let name = value.as_str(key)?;
-                self.engine = Engine::from_name(name)
-                    .ok_or(format!("unknown engine `{name}` (legacy|replay)"))?;
             }
             "bench" => {
                 let name = value.as_str(key)?;
@@ -560,11 +550,18 @@ impl Json {
     }
 }
 
-/// Parses one JSON document; trailing non-whitespace is an error.
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so without a cap one line of `[`s would overflow the stack; no
+/// protocol message nests deeper than 3.
+const MAX_DEPTH: usize = 64;
+
+/// Parses one JSON document; trailing non-whitespace is an error, and so
+/// is nesting arrays and objects more than 64 deep.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -578,6 +575,8 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -602,8 +601,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -882,7 +895,6 @@ mod tests {
         let mut req = Request::new("table4");
         req.params.seed = 42;
         req.params.scale = 2;
-        req.engine = Engine::Legacy;
         req.bench = Some(Spec92::Gcc);
         req.format = OutputFormat::Json;
         req.opts.occupancy = true;
@@ -896,12 +908,35 @@ mod tests {
     fn unknown_field_is_a_structured_error() {
         let err = parse_line(r#"{"experiment":"table2","bogus":1}"#).unwrap_err();
         assert_eq!(err, "unknown field `bogus`");
+        let err = parse_line(r#"{"experiment":"table4","engine":"replay"}"#).unwrap_err();
+        assert_eq!(err, "unknown field `engine`");
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_exact_error() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&at_cap).is_ok());
+        let mixed = format!("{}{}", r#"{"a":["#.repeat(MAX_DEPTH / 2), "[");
+        assert_eq!(
+            parse_json(&mixed).unwrap_err(),
+            format!("nesting deeper than 64 at byte {}", mixed.len() - 1)
+        );
+        let deep = "[".repeat(200_000);
+        assert_eq!(
+            parse_json(&deep).unwrap_err(),
+            "nesting deeper than 64 at byte 64"
+        );
+        assert_eq!(
+            parse_line(&deep).unwrap_err(),
+            "nesting deeper than 64 at byte 64"
+        );
+        assert_eq!(salvage_id(&deep), None);
     }
 
     #[test]
     fn bad_values_reject_with_cli_error_text() {
-        let err = parse_line(r#"{"experiment":"table4","engine":"warp"}"#).unwrap_err();
-        assert_eq!(err, "unknown engine `warp` (legacy|replay)");
+        let err = parse_line(r#"{"experiment":"table4","format":"warp"}"#).unwrap_err();
+        assert_eq!(err, "unknown format `warp` (text|csv|json)");
         let err = parse_line(r#"{"experiment":"fuzz","seeds":"9..3"}"#).unwrap_err();
         assert_eq!(err, "empty seed range `9..3`");
     }

@@ -8,8 +8,8 @@
 //! immutable behind `Arc`, so serving one to a request is a cheap clone),
 //! and rendered [`Output`]s are memoised in a byte-capped LRU result
 //! cache keyed by [`registry::result_key`] — the experiment's
-//! content-addressed inputs × engine × workload parameters × output
-//! format × tool options. A repeated request is served byte-identical
+//! content-addressed inputs × workload parameters × output format ×
+//! tool options. A repeated request is served byte-identical
 //! from memory without touching a benchmark at all.
 //!
 //! The wire protocol is line-delimited JSON over stdio or a Unix socket

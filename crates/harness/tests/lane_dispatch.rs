@@ -13,76 +13,94 @@ use multiscalar_core::dolc::Dolc;
 use multiscalar_harness::dispatch::{
     exit_ladder, path_real_sweep, path_real_sweep_automaton, path_real_sweep_scalar,
 };
-use multiscalar_harness::prepare;
+use multiscalar_harness::prepare_all;
 use multiscalar_sim::measure::lane_packed_sweeps;
-use multiscalar_workloads::{Spec92, WorkloadParams};
+use multiscalar_workloads::WorkloadParams;
 
 /// Packable kinds advance the counter and match the scalar engine; the
 /// `VC RANDOM` kinds leave it alone (their tie-break consumes per-predictor
-/// RNG state the packed table cannot reproduce) and run scalar.
+/// RNG state the packed table cannot reproduce) and run scalar. Checked on
+/// every Spec92 workload at scale 1.
 #[test]
 fn automaton_dispatch_packs_when_it_can_and_falls_back_for_random() {
     let configs = exit_ladder();
-    let b = prepare(Spec92::Gcc, &WorkloadParams::small(0xC0FFEE));
+    let benches = prepare_all(&WorkloadParams::small(0xC0FFEE));
 
-    // The default LEH-2bit entry point takes the packed engine.
-    let before = lane_packed_sweeps();
-    let leh2 = path_real_sweep(&configs, &b);
+    // The default LEH-2bit entry point takes the packed engine: one
+    // lane-packed sweep per workload, bit-identical to the scalar engine
+    // (which must not advance the counter).
+    let ladder_before = lane_packed_sweeps();
+    for b in &benches {
+        let before = lane_packed_sweeps();
+        let leh2 = path_real_sweep(&configs, b);
+        assert_eq!(
+            leh2,
+            path_real_sweep_scalar::<LastExitHysteresis<2>>(&configs, b),
+            "{}: lane-packed LEH-2bit must match the scalar engine",
+            b.name()
+        );
+        assert_eq!(
+            lane_packed_sweeps() - before,
+            1,
+            "{}: the ladder sweep must take the lane-packed path, the scalar one must not",
+            b.name()
+        );
+    }
     assert_eq!(
-        lane_packed_sweeps() - before,
-        1,
-        "the ladder sweep must take the lane-packed path"
-    );
-    assert_eq!(
-        leh2,
-        path_real_sweep_scalar::<LastExitHysteresis<2>>(&configs, &b),
-        "lane-packed LEH-2bit must match the scalar engine"
-    );
-
-    // A packable kind through the kind dispatch advances the counter too.
-    // VC lanes are 16 bits wide (4 per word), so pack a 4-config subset.
-    let vc_configs = &configs[..4];
-    let before = lane_packed_sweeps();
-    let packed = path_real_sweep_automaton(AutomatonKind::Vc3Mru, vc_configs, &b);
-    assert_eq!(
-        lane_packed_sweeps() - before,
-        1,
-        "VC3-MRU must take the lane-packed path"
-    );
-    assert_eq!(
-        packed,
-        path_real_sweep_scalar::<VotingCounters<3, true>>(vc_configs, &b),
-        "lane-packed VC3-MRU must match the scalar engine"
+        lane_packed_sweeps() - ladder_before,
+        5,
+        "the ladder over all five workloads is five lane-packed sweeps"
     );
 
-    // A RANDOM kind must leave the counter alone — scalar fallback — even
-    // for a shape the packed engine could otherwise hold.
-    let before = lane_packed_sweeps();
-    let random = path_real_sweep_automaton(AutomatonKind::Vc3Random, vc_configs, &b);
-    assert_eq!(
-        lane_packed_sweeps(),
-        before,
-        "VC3-RANDOM must take the scalar fallback"
-    );
-    assert_eq!(
-        random,
-        path_real_sweep_scalar::<VotingCounters<3, false>>(vc_configs, &b),
-        "the fallback is the scalar engine itself"
-    );
+    for b in &benches {
+        let name = b.name();
 
-    // A sweep wider than the word's lane capacity cannot pack either:
-    // LEH lanes are 4 bits wide, so a u64 holds 16 — 17 configs run scalar
-    // (counter unchanged) and still return correct results.
-    let wide_configs: Vec<Dolc> = (0..17).map(|_| Dolc::new(4, 4, 6, 6, 2)).collect();
-    let before = lane_packed_sweeps();
-    let wide = path_real_sweep(&wide_configs, &b);
-    assert_eq!(
-        lane_packed_sweeps(),
-        before,
-        "a 17-config LEH sweep exceeds the 16-lane word and must run scalar"
-    );
-    assert_eq!(
-        wide,
-        path_real_sweep_scalar::<LastExitHysteresis<2>>(&wide_configs, &b)
-    );
+        // A packable kind through the kind dispatch advances the counter
+        // too. VC lanes are 16 bits wide (4 per word), so pack a 4-config
+        // subset.
+        let vc_configs = &configs[..4];
+        let before = lane_packed_sweeps();
+        let packed = path_real_sweep_automaton(AutomatonKind::Vc3Mru, vc_configs, b);
+        assert_eq!(
+            lane_packed_sweeps() - before,
+            1,
+            "{name}: VC3-MRU must take the lane-packed path"
+        );
+        assert_eq!(
+            packed,
+            path_real_sweep_scalar::<VotingCounters<3, true>>(vc_configs, b),
+            "{name}: lane-packed VC3-MRU must match the scalar engine"
+        );
+
+        // A RANDOM kind must leave the counter alone — scalar fallback —
+        // even for a shape the packed engine could otherwise hold.
+        let before = lane_packed_sweeps();
+        let random = path_real_sweep_automaton(AutomatonKind::Vc3Random, vc_configs, b);
+        assert_eq!(
+            lane_packed_sweeps(),
+            before,
+            "{name}: VC3-RANDOM must take the scalar fallback"
+        );
+        assert_eq!(
+            random,
+            path_real_sweep_scalar::<VotingCounters<3, false>>(vc_configs, b),
+            "{name}: the fallback is the scalar engine itself"
+        );
+
+        // A sweep wider than the word's lane capacity cannot pack either:
+        // LEH lanes are 4 bits wide, so a u64 holds 16 — 17 configs run
+        // scalar (counter unchanged) and still return correct results.
+        let wide_configs: Vec<Dolc> = (0..17).map(|_| Dolc::new(4, 4, 6, 6, 2)).collect();
+        let before = lane_packed_sweeps();
+        let wide = path_real_sweep(&wide_configs, b);
+        assert_eq!(
+            lane_packed_sweeps(),
+            before,
+            "{name}: a 17-config LEH sweep exceeds the 16-lane word and must run scalar"
+        );
+        assert_eq!(
+            wide,
+            path_real_sweep_scalar::<LastExitHysteresis<2>>(&wide_configs, b)
+        );
+    }
 }

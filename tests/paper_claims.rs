@@ -209,3 +209,54 @@ fn real_cttb_tracks_ideal() {
         );
     }
 }
+
+/// §7 / Table 4 ablation: a wider ring extracts more parallelism. With
+/// perfect inter-task prediction, IPC on gcc rises strictly from 2 to 4 to
+/// 8 processing units (1.30, 1.84, 2.50 at this scale).
+#[test]
+fn perfect_ipc_rises_with_ring_width() {
+    use multiscalar::sim::replay::simulate_replay;
+    use multiscalar::sim::timing::TimingConfig;
+
+    let b = gcc();
+    // No predictor is Table 4's Perfect column.
+    let ipc: Vec<f64> = [2, 4, 8]
+        .iter()
+        .map(|&units| {
+            let config = TimingConfig::paper().n_units(units);
+            simulate_replay(&b.replay, &b.descs, None, &config).ipc()
+        })
+        .collect();
+    assert!(
+        ipc[0] < ipc[1] && ipc[1] < ipc[2],
+        "perfect-prediction IPC must rise with ring width (2/4/8 units): {ipc:.2?}"
+    );
+}
+
+/// §6.1's two DOLC heuristics — fold older-task bits into the index, and
+/// taper them (fewer bits from older tasks) — measured on gcc at an equal
+/// index size. At this scale they do *not* win: the unfolded 6-1-4-5(1)
+/// (3.39%) beats the uniform 6-6-6-6(3) (3.43%), which beats the folded,
+/// tapered 6-5-8-9(3) (3.64%). The test pins that ordering so a change to
+/// the predictor or the workloads that moves it is noticed.
+#[test]
+fn dolc_fold_and_taper_do_not_win_at_small_scale() {
+    use multiscalar::sim::measure::measure_exits;
+
+    let b = gcc();
+    let miss = |d: Dolc| {
+        let mut p: PathPredictor<Leh2> = PathPredictor::new(d);
+        measure_exits(&mut p, &b.descs, &b.trace.events).miss_rate()
+    };
+    let unfolded = Dolc::new(6, 1, 4, 5, 1);
+    let uniform = Dolc::new(6, 6, 6, 6, 3);
+    let tapered = Dolc::new(6, 5, 8, 9, 3);
+    assert_eq!(unfolded.index_bits(), tapered.index_bits());
+    assert_eq!(uniform.index_bits(), tapered.index_bits());
+    let (u, f, t) = (miss(unfolded), miss(uniform), miss(tapered));
+    assert!(
+        u < f && f < t,
+        "expected unfolded {unfolded} ({u:.4}) < uniform {uniform} ({f:.4}) < \
+         folded/tapered {tapered} ({t:.4})"
+    );
+}
