@@ -79,16 +79,6 @@ impl<const BITS: u8, const MRU: bool> VotingCounters<BITS, MRU> {
     pub fn counters(&self) -> [u8; MAX_EXITS] {
         self.counters
     }
-
-    /// Most-recently-taken exit (the MRU tie-break state).
-    pub(crate) fn mru(&self) -> u8 {
-        self.mru
-    }
-
-    /// Rebuilds an automaton from raw state (lane packing codec).
-    pub(crate) fn from_parts(counters: [u8; MAX_EXITS], mru: u8) -> Self {
-        VotingCounters { counters, mru }
-    }
 }
 
 impl<const BITS: u8, const MRU: bool> Automaton for VotingCounters<BITS, MRU> {
@@ -148,18 +138,6 @@ impl<const BITS: u8, const MRU: bool> Automaton for VotingCounters<BITS, MRU> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LastExit {
     last: ExitIndex,
-}
-
-impl LastExit {
-    /// The remembered exit (lane packing codec).
-    pub(crate) fn last(&self) -> ExitIndex {
-        self.last
-    }
-
-    /// Rebuilds an automaton from raw state (lane packing codec).
-    pub(crate) fn from_exit(last: ExitIndex) -> Self {
-        LastExit { last }
-    }
 }
 
 impl Automaton for LastExit {

@@ -1,10 +1,10 @@
 //! Lane-packed (SWAR) automata: many predictors per machine word.
 //!
-//! The paper's automata are tiny by design — voting counters are 2–3 bits
-//! and LEH hysteresis is 1–2 bits — so a single `u64` holds 4–32
-//! independent automaton instances. This module exploits that for the
-//! harness's fused sweeps (fig10/fig11-style grids train many PATH
-//! configurations over one trace walk): [`LanePacked`] stores a
+//! The paper's LEH automata are tiny by design — a 2-bit exit plus 1–2
+//! bits of hysteresis — so a single `u64` holds 16 independent automaton
+//! instances. This module exploits that for the harness's real-PATH
+//! sweeps (the fig10/fig11 grids train many PATH configurations over one
+//! trace walk): [`LanePacked`] stores a
 //! struct-of-arrays pattern history table whose entry `j` packs lane `k` =
 //! *predictor `k`'s* automaton for index `j`, and [`BatchedExitPredictor`]
 //! answers "predict + update" for every lane of a sweep point in one call.
@@ -32,21 +32,22 @@
 //! to the scalar [`Automaton`]: `lanes_update` commutes with
 //! `encode`/`decode`, and `lanes_predict` returns exactly what the scalar
 //! `predict` would. The equivalence is enforced by exhaustive and seeded
-//! randomized tests in this module. `VC RANDOM` deliberately has **no**
-//! [`LaneAutomaton`] impl: its tie-break consumes the per-predictor
-//! [`XorShift64`] stream, and reproducing that stream exactly across packed
-//! lanes is impractical — callers dispatch RANDOM sweeps to the scalar
-//! engine instead (the harness has a test proving the fallback).
+//! randomized tests in this module.
+//!
+//! Only [`LastExitHysteresis`] is packed. After Figure 6 the paper uses
+//! LEH-2bit for every real predictor, and Figure 6 itself compares the
+//! automata on *ideal* predictors, so no workload sweeps a real predictor
+//! over another family. That is also why `VC RANDOM`, whose tie-break
+//! consumes a per-predictor RNG stream, needs no packed form.
 
-use crate::automata::{Automaton, LastExit, LastExitHysteresis, VotingCounters};
+use crate::automata::{Automaton, LastExitHysteresis};
 use crate::dolc::Dolc;
 use crate::predictor::TaskDesc;
-use crate::rng::XorShift64;
-use multiscalar_isa::{ExitIndex, MAX_EXITS};
+use multiscalar_isa::ExitIndex;
 use std::marker::PhantomData;
 
-/// Widest fan-out a batched sweep supports: 32 two-bit [`LastExit`] lanes.
-pub const MAX_FUSED_LANES: usize = 32;
+/// Widest fan-out a batched sweep supports: one word of four-bit LEH lanes.
+pub const MAX_FUSED_LANES: usize = <LastExitHysteresis<2> as LaneAutomaton>::LANES;
 
 /// A word with bit 0 of every `lane_bits`-wide lane set.
 const fn lane_lsb(lane_bits: u32) -> u64 {
@@ -96,28 +97,6 @@ pub trait LaneAutomaton: Automaton {
     fn decode(lane: u64) -> Self;
 }
 
-impl LaneAutomaton for LastExit {
-    const LANE_BITS: u32 = 2;
-
-    fn lanes_predict(word: u64) -> u64 {
-        // Each 2-bit lane *is* the remembered exit.
-        word
-    }
-
-    fn lanes_update(_word: u64, actual: u8) -> u64 {
-        // Every lane forgets its exit and takes the actual one.
-        Self::LANE_LSB * actual as u64
-    }
-
-    fn encode(&self) -> u64 {
-        self.last().as_u8() as u64
-    }
-
-    fn decode(lane: u64) -> Self {
-        LastExit::from_exit(ExitIndex::new((lane & 0b11) as u8).expect("2-bit exit"))
-    }
-}
-
 impl<const BITS: u8> LaneAutomaton for LastExitHysteresis<BITS> {
     // 2 exit bits + up to 2 confidence bits; bit 3 stays zero for BITS=1.
     const LANE_BITS: u32 = {
@@ -164,78 +143,6 @@ impl<const BITS: u8> LaneAutomaton for LastExitHysteresis<BITS> {
             ExitIndex::new((lane & 0b11) as u8).expect("2-bit exit"),
             ((lane >> 2) & 0b11) as u8,
         )
-    }
-}
-
-impl<const BITS: u8> LaneAutomaton for VotingCounters<BITS, true> {
-    // 4 counters of BITS bits + 2 MRU bits fit a 16-bit lane with room to
-    // spare; the unused top bits stay zero.
-    const LANE_BITS: u32 = {
-        assert!(
-            BITS >= 1 && BITS <= 3,
-            "VC lanes support 1- to 3-bit counters"
-        );
-        16
-    };
-
-    fn lanes_predict(word: u64) -> u64 {
-        // The vote (argmax + MRU tie-break) is control-flow heavy, so each
-        // lane reuses the scalar automaton verbatim — bit-identity by
-        // construction. MRU tie-breaking never consumes the generator.
-        let mut tie = XorShift64::default();
-        let mut out = 0u64;
-        let mut k = 0u32;
-        while (k as usize) < Self::LANES {
-            let shift = k * Self::LANE_BITS;
-            let lane = (word >> shift) & Self::LANE_MASK;
-            out |= (Self::decode(lane).predict(&mut tie).as_u8() as u64) << shift;
-            k += 1;
-        }
-        out
-    }
-
-    fn lanes_update(word: u64, actual: u8) -> u64 {
-        let lsb = Self::LANE_LSB;
-        let mut w = word;
-        for j in 0..MAX_EXITS {
-            let off = j as u32 * BITS as u32;
-            let f = w >> off;
-            // AND/OR-fold counter field j of every lane to the lane's low
-            // bit: all-ones = saturated, any-one = non-zero.
-            let mut all = f;
-            let mut any = f;
-            let mut b = 1;
-            while b < BITS as u32 {
-                all &= f >> b;
-                any |= f >> b;
-                b += 1;
-            }
-            let (all, any) = (all & lsb, any & lsb);
-            // The actual exit's counter saturating-increments in every
-            // lane; the other three saturating-decrement.
-            let sel = 0u64.wrapping_sub((j == actual as usize) as u64);
-            let inc = (all ^ lsb) & sel;
-            let dec = any & !sel;
-            w = w + (inc << off) - (dec << off);
-        }
-        let mru_off = MAX_EXITS as u32 * BITS as u32;
-        let mru_mask = (lsb * 0b11) << mru_off;
-        (w & !mru_mask) | ((lsb * actual as u64) << mru_off)
-    }
-
-    fn encode(&self) -> u64 {
-        let mut lane = (self.mru() as u64) << (MAX_EXITS as u32 * BITS as u32);
-        for (j, &c) in self.counters().iter().enumerate() {
-            lane |= (c as u64) << (j as u32 * BITS as u32);
-        }
-        lane
-    }
-
-    fn decode(lane: u64) -> Self {
-        let field = (1u64 << BITS) - 1;
-        let counters = std::array::from_fn(|j| ((lane >> (j as u32 * BITS as u32)) & field) as u8);
-        let mru = ((lane >> (MAX_EXITS as u32 * BITS as u32)) & 0b11) as u8;
-        VotingCounters::from_parts(counters, mru)
     }
 }
 
@@ -405,12 +312,7 @@ impl<A: LaneAutomaton> BatchedExitPredictor<A> {
 
     /// Bit `k` set for every active lane.
     fn all_lanes_mask(&self) -> u32 {
-        let n = self.dolcs.len();
-        if n >= 32 {
-            u32::MAX
-        } else {
-            (1u32 << n) - 1
-        }
+        (1 << self.dolcs.len()) - 1
     }
 
     /// Compresses per-lane "predicted != actual" (exit bits at each lane's
@@ -446,6 +348,7 @@ mod tests {
     use super::*;
     use crate::history::PathPredictor;
     use crate::predictor::{ExitInfo, ExitPredictor};
+    use crate::rng::XorShift64;
     use multiscalar_isa::{Addr, ExitKind};
     use std::fmt::Debug;
 
@@ -501,11 +404,8 @@ mod tests {
 
     #[test]
     fn exhaustive_short_sequences_match_scalar() {
-        exhaustive_short_sequences::<LastExit>();
         exhaustive_short_sequences::<LastExitHysteresis<1>>();
         exhaustive_short_sequences::<LastExitHysteresis<2>>();
-        exhaustive_short_sequences::<VotingCounters<2, true>>();
-        exhaustive_short_sequences::<VotingCounters<3, true>>();
     }
 
     fn long_seeded_sequence<A: LaneAutomaton + PartialEq + Debug>(seed: u64) {
@@ -517,11 +417,8 @@ mod tests {
 
     #[test]
     fn long_seeded_sequences_match_scalar() {
-        long_seeded_sequence::<LastExit>(0xA11CE);
         long_seeded_sequence::<LastExitHysteresis<1>>(0xB0B);
         long_seeded_sequence::<LastExitHysteresis<2>>(0xC0DE);
-        long_seeded_sequence::<VotingCounters<2, true>>(0xD00D);
-        long_seeded_sequence::<VotingCounters<3, true>>(0xE66);
     }
 
     /// Lanes holding *different* states must train independently: no carry,
@@ -569,11 +466,8 @@ mod tests {
 
     #[test]
     fn mixed_lane_states_stay_isolated() {
-        lanes_are_isolated::<LastExit>(1);
         lanes_are_isolated::<LastExitHysteresis<1>>(2);
         lanes_are_isolated::<LastExitHysteresis<2>>(3);
-        lanes_are_isolated::<VotingCounters<2, true>>(4);
-        lanes_are_isolated::<VotingCounters<3, true>>(5);
     }
 
     #[test]
@@ -600,11 +494,8 @@ mod tests {
                 );
             }
         }
-        check::<LastExit>();
         check::<LastExitHysteresis<1>>();
         check::<LastExitHysteresis<2>>();
-        check::<VotingCounters<2, true>>();
-        check::<VotingCounters<3, true>>();
     }
 
     #[test]
@@ -682,22 +573,19 @@ mod tests {
 
     #[test]
     fn batch_shape_limits_are_enforced() {
+        type A = LastExitHysteresis<2>;
         let cfg = Dolc::new(1, 0, 5, 5, 1);
-        assert!(BatchedExitPredictor::<LastExitHysteresis<2>>::new(&[]).is_none());
-        let too_many = vec![cfg; 17];
+        assert!(BatchedExitPredictor::<A>::new(&[]).is_none());
         assert!(
-            BatchedExitPredictor::<LastExitHysteresis<2>>::new(&too_many).is_none(),
+            BatchedExitPredictor::<A>::new(&[cfg; 17]).is_none(),
             "LEH packs 16 lanes, 17 configs must be rejected"
         );
-        let five = vec![cfg; 5];
-        assert!(BatchedExitPredictor::<VotingCounters<2, true>>::new(&five).is_none());
-        assert!(BatchedExitPredictor::<VotingCounters<2, true>>::new(&five[..4]).is_some());
-        let mut full = BatchedExitPredictor::<LastExit>::new(&[cfg; 32]).expect("32 LE lanes");
-        assert_eq!(full.lanes(), 32);
-        // All 32 lanes miss a non-zero exit on a single-exit task.
+        let mut full = BatchedExitPredictor::<A>::new(&[cfg; 16]).expect("16 LEH lanes");
+        assert_eq!(full.lanes(), MAX_FUSED_LANES);
+        // All 16 lanes miss a non-zero exit on a single-exit task.
         let single = multi_exit_task(0x40, 1);
-        assert_eq!(full.step(&single, e(1)), u32::MAX);
+        assert_eq!(full.step(&single, e(1)), 0xFFFF);
         assert_eq!(full.step(&single, e(0)), 0);
-        assert_eq!(full.states_touched(31), 0, "SkipPht trains nothing");
+        assert_eq!(full.states_touched(15), 0, "SkipPht trains nothing");
     }
 }

@@ -74,24 +74,6 @@ pub fn measure_ideal_on(
     }
 }
 
-/// Measures an ideal PATH predictor with the given automaton kind
-/// (Figure 6's experiment).
-pub fn measure_ideal_path_automaton(kind: AutomatonKind, depth: u32, bench: &Bench) -> MissStats {
-    fn run<A: multiscalar_core::automata::Automaton>(depth: u32, bench: &Bench) -> MissStats {
-        let mut p: IdealPath<A> = IdealPath::new(depth);
-        measure_exits(&mut p, &bench.descs, &bench.trace.events)
-    }
-    match kind {
-        AutomatonKind::Vc2Mru => run::<VotingCounters<2, true>>(depth, bench),
-        AutomatonKind::Vc2Random => run::<VotingCounters<2, false>>(depth, bench),
-        AutomatonKind::Leh1 => run::<LastExitHysteresis<1>>(depth, bench),
-        AutomatonKind::Vc3Mru => run::<VotingCounters<3, true>>(depth, bench),
-        AutomatonKind::Vc3Random => run::<VotingCounters<3, false>>(depth, bench),
-        AutomatonKind::Leh2 => run::<LastExitHysteresis<2>>(depth, bench),
-        AutomatonKind::LastExit => run::<LastExit>(depth, bench),
-    }
-}
-
 /// Fused form of [`measure_ideal`]: measures one ideal predictor per depth
 /// in a **single trace walk**. Results are bit-identical to calling
 /// `measure_ideal` once per depth (the predictor instances are independent).
@@ -115,17 +97,14 @@ pub fn measure_ideal_sweep(scheme: Scheme, depths: &[u32], bench: &Bench) -> Vec
     }
 }
 
-/// Fused form of [`measure_ideal_path_automaton`]: the whole depth sweep of
-/// one automaton kind in a single trace walk.
+/// Measures ideal PATH predictors with the given automaton kind (Figure
+/// 6's experiment), one per depth, in a single trace walk.
 pub fn measure_ideal_path_automaton_sweep(
     kind: AutomatonKind,
     depths: &[u32],
     bench: &Bench,
 ) -> Vec<MissStats> {
-    fn run<A: multiscalar_core::automata::Automaton>(
-        depths: &[u32],
-        bench: &Bench,
-    ) -> Vec<MissStats> {
+    fn run<A: Automaton>(depths: &[u32], bench: &Bench) -> Vec<MissStats> {
         let mut ps: Vec<IdealPath<A>> = depths.iter().map(|&d| IdealPath::new(d)).collect();
         measure_exits_fused(&mut ps, &bench.descs, &bench.trace.events)
     }
@@ -140,69 +119,42 @@ pub fn measure_ideal_path_automaton_sweep(
     }
 }
 
-/// Fused real-PATH sweep over DOLC configurations (Figures 10 and 11's
-/// "real" curves): one trace walk, returning per-config miss stats and PHT
-/// states touched.
+/// Real-PATH sweep over DOLC configurations (Figures 10 and 11's "real"
+/// curves), LEH-2bit: per-config miss stats and PHT states touched.
 ///
-/// Dispatches to the lane-packed batched engine
-/// ([`measure_exits_batched`]) whenever the sweep fits its lanes — the
-/// ladder always does — falling back to [`path_real_sweep_scalar`]
-/// otherwise. Both paths are bit-identical (`fused_path_ladders_match...`
-/// in `tests/fused.rs` gates this against one-config-at-a-time runs).
+/// Runs on the lane-packed engine only. `configs` is split into chunks of
+/// at most one word's lanes, and each chunk is one
+/// [`measure_exits_batched`] walk; the ladder fits one chunk. Results are
+/// bit-identical to [`path_real_sweep_scalar`], the oracle
+/// `tests/lane_dispatch.rs` and fuzz oracle 6 hold it to.
 pub fn path_real_sweep(configs: &[Dolc], bench: &Bench) -> Vec<(MissStats, usize)> {
-    match BatchedExitPredictor::<LastExitHysteresis<2>>::new(configs) {
-        Some(mut batch) => measure_exits_batched(&mut batch, &bench.descs, &bench.trace.events),
-        None => path_real_sweep_scalar::<LastExitHysteresis<2>>(configs, bench),
-    }
+    type Leh2 = LastExitHysteresis<2>;
+    configs
+        .chunks(Leh2::LANES)
+        .flat_map(|chunk| {
+            let mut batch =
+                BatchedExitPredictor::<Leh2>::new(chunk).expect("a chunk fits one word");
+            measure_exits_batched(&mut batch, &bench.descs, &bench.trace.events)
+        })
+        .collect()
 }
 
-/// The scalar fused real-PATH sweep: one predictor instance per
-/// configuration, trained predictor-by-predictor in a single trace walk.
-/// This is the pre-lane-packing engine, kept as the fallback for batch
-/// shapes the packed engine rejects and as the packed engine's test
-/// oracle.
-pub fn path_real_sweep_scalar<A: Automaton>(
+/// The scalar real-PATH sweep: one LEH-2bit `PathPredictor` per
+/// configuration, trained predictor by predictor in one trace walk. No
+/// workload runs it; it is the oracle for the lane-packed
+/// [`path_real_sweep`].
+pub fn path_real_sweep_scalar(
     configs: &[Dolc],
-    bench: &Bench,
+    descs: &[TaskDesc],
+    events: &SharedTrace,
 ) -> Vec<(MissStats, usize)> {
-    let mut ps: Vec<PathPredictor<A>> = configs.iter().map(|&d| PathPredictor::new(d)).collect();
-    let stats = measure_exits_fused(&mut ps, &bench.descs, &bench.trace.events);
+    let mut ps: Vec<PathPredictor<LastExitHysteresis<2>>> =
+        configs.iter().map(|&d| PathPredictor::new(d)).collect();
+    let stats = measure_exits_fused(&mut ps, descs, events);
     stats
         .into_iter()
         .zip(ps.iter().map(|p| p.states_touched()))
         .collect()
-}
-
-/// [`path_real_sweep`] generalised over automaton kinds: lane-packed for
-/// the packable families, scalar for the two `VC RANDOM` kinds — their
-/// tie-break consumes the per-predictor XorShift stream, which the packed
-/// table cannot reproduce exactly, so they take the (bit-identical-by-
-/// construction) scalar walk instead. `tests/fused.rs` proves both the
-/// fast path and the fallback via the `lane_packed_sweeps` counter.
-pub fn path_real_sweep_automaton(
-    kind: AutomatonKind,
-    configs: &[Dolc],
-    bench: &Bench,
-) -> Vec<(MissStats, usize)> {
-    fn packed<A: LaneAutomaton>(configs: &[Dolc], bench: &Bench) -> Vec<(MissStats, usize)> {
-        match BatchedExitPredictor::<A>::new(configs) {
-            Some(mut batch) => measure_exits_batched(&mut batch, &bench.descs, &bench.trace.events),
-            None => path_real_sweep_scalar::<A>(configs, bench),
-        }
-    }
-    match kind {
-        AutomatonKind::Vc2Mru => packed::<VotingCounters<2, true>>(configs, bench),
-        AutomatonKind::Vc2Random => {
-            path_real_sweep_scalar::<VotingCounters<2, false>>(configs, bench)
-        }
-        AutomatonKind::Leh1 => packed::<LastExitHysteresis<1>>(configs, bench),
-        AutomatonKind::Vc3Mru => packed::<VotingCounters<3, true>>(configs, bench),
-        AutomatonKind::Vc3Random => {
-            path_real_sweep_scalar::<VotingCounters<3, false>>(configs, bench)
-        }
-        AutomatonKind::Leh2 => packed::<LastExitHysteresis<2>>(configs, bench),
-        AutomatonKind::LastExit => packed::<LastExit>(configs, bench),
-    }
 }
 
 /// Fused ideal-PATH sweep over depths (Figures 10 and 11's "ideal" curves):

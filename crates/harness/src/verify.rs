@@ -5,7 +5,7 @@
 //! is the user-facing version, producing a readable report rather than
 //! panics.
 
-use crate::dispatch::{measure_ideal, measure_ideal_path_automaton, Scheme};
+use crate::dispatch::{measure_ideal, measure_ideal_path_automaton_sweep, Scheme};
 use crate::experiments;
 use crate::pool::Pool;
 use crate::prepare_all_with;
@@ -40,9 +40,12 @@ pub fn verify(params: &WorkloadParams, pool: &Pool) -> Vec<Claim> {
 
     // §5.1 / Fig. 6: LEH-2bit beats LE and matches 3-bit VC.
     {
-        let le = measure_ideal_path_automaton(AutomatonKind::LastExit, 5, gcc).miss_rate();
-        let leh2 = measure_ideal_path_automaton(AutomatonKind::Leh2, 5, gcc).miss_rate();
-        let vc3 = measure_ideal_path_automaton(AutomatonKind::Vc3Mru, 5, gcc).miss_rate();
+        let le =
+            measure_ideal_path_automaton_sweep(AutomatonKind::LastExit, &[5], gcc)[0].miss_rate();
+        let leh2 =
+            measure_ideal_path_automaton_sweep(AutomatonKind::Leh2, &[5], gcc)[0].miss_rate();
+        let vc3 =
+            measure_ideal_path_automaton_sweep(AutomatonKind::Vc3Mru, &[5], gcc)[0].miss_rate();
         claims.push(Claim {
             source: "§5.1 / Fig. 6",
             statement: "LEH-2bit offers the best accuracy/size trade-off",

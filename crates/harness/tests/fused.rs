@@ -9,8 +9,8 @@ use multiscalar_core::predictor::ExitPredictor;
 use multiscalar_core::target::{Cttb, IdealCttb};
 use multiscalar_harness::dispatch::{
     cttb_ideal_sweep, cttb_ladder, cttb_real_sweep, exit_ladder, measure_ideal,
-    measure_ideal_path_automaton, measure_ideal_path_automaton_sweep, measure_ideal_sweep,
-    path_ideal_sweep, path_real_sweep, Scheme,
+    measure_ideal_path_automaton_sweep, measure_ideal_sweep, path_ideal_sweep, path_real_sweep,
+    Scheme,
 };
 use multiscalar_harness::{prepare, Bench};
 use multiscalar_sim::measure::{measure_exits, measure_indirect_targets};
@@ -52,7 +52,7 @@ fn fused_automaton_sweep_matches_one_depth_at_a_time() {
             let fused = measure_ideal_path_automaton_sweep(kind, &depths, b);
             let sequential: Vec<_> = depths
                 .iter()
-                .map(|&d| measure_ideal_path_automaton(kind, d, b))
+                .map(|&d| measure_ideal_path_automaton_sweep(kind, &[d], b)[0])
                 .collect();
             assert_eq!(fused, sequential, "{} {kind:?}", b.name());
         }

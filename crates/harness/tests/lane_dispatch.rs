@@ -1,49 +1,43 @@
-//! Structural proof of the lane-packed dispatch: the sweep entry points
-//! take the packed engine exactly when the automaton family supports it,
-//! and the scalar fallback otherwise — asserted via the
-//! `lane_packed_sweeps` counter, never inferred from timing.
+//! Structural proof of the lane-packed real-PATH sweep: `path_real_sweep`
+//! runs one lane-packed walk per word of configurations, asserted via the
+//! `lane_packed_sweeps` counter (never inferred from timing), and its
+//! results equal the scalar oracle's.
 //!
 //! This lives in its own binary — one `#[test]` — on purpose: the counter
 //! is process-global, and sharing a process with other sweep-running tests
 //! would race the deltas.
 
-use multiscalar_core::automata::LastExitHysteresis;
-use multiscalar_core::automata::{AutomatonKind, VotingCounters};
 use multiscalar_core::dolc::Dolc;
-use multiscalar_harness::dispatch::{
-    exit_ladder, path_real_sweep, path_real_sweep_automaton, path_real_sweep_scalar,
-};
+use multiscalar_harness::dispatch::{exit_ladder, path_real_sweep, path_real_sweep_scalar};
 use multiscalar_harness::prepare_all;
 use multiscalar_sim::measure::lane_packed_sweeps;
 use multiscalar_workloads::WorkloadParams;
 
-/// Packable kinds advance the counter and match the scalar engine; the
-/// `VC RANDOM` kinds leave it alone (their tie-break consumes per-predictor
-/// RNG state the packed table cannot reproduce) and run scalar. Checked on
-/// every Spec92 workload at scale 1.
+/// The ladder packs as one sweep per workload, and a sweep wider than a
+/// word packs as one sweep per word; both match the scalar oracle. Checked
+/// on every Spec92 workload at scale 1.
 #[test]
-fn automaton_dispatch_packs_when_it_can_and_falls_back_for_random() {
+fn real_path_sweep_packs_one_walk_per_word() {
     let configs = exit_ladder();
+    // LEH lanes are 4 bits wide, so a u64 holds 16: 17 configs are two
+    // words.
+    let wide_configs: Vec<Dolc> = (0..17).map(|_| Dolc::new(4, 4, 6, 6, 2)).collect();
     let benches = prepare_all(&WorkloadParams::small(0xC0FFEE));
 
-    // The default LEH-2bit entry point takes the packed engine: one
-    // lane-packed sweep per workload, bit-identical to the scalar engine
-    // (which must not advance the counter).
     let ladder_before = lane_packed_sweeps();
     for b in &benches {
+        let name = b.name();
         let before = lane_packed_sweeps();
-        let leh2 = path_real_sweep(&configs, b);
-        assert_eq!(
-            leh2,
-            path_real_sweep_scalar::<LastExitHysteresis<2>>(&configs, b),
-            "{}: lane-packed LEH-2bit must match the scalar engine",
-            b.name()
-        );
+        let ladder = path_real_sweep(&configs, b);
         assert_eq!(
             lane_packed_sweeps() - before,
             1,
-            "{}: the ladder sweep must take the lane-packed path, the scalar one must not",
-            b.name()
+            "{name}: the ladder is one lane-packed sweep, the oracle none"
+        );
+        assert_eq!(
+            ladder,
+            path_real_sweep_scalar(&configs, &b.descs, &b.trace.events),
+            "{name}: lane-packed LEH-2bit must match the scalar oracle"
         );
     }
     assert_eq!(
@@ -54,53 +48,17 @@ fn automaton_dispatch_packs_when_it_can_and_falls_back_for_random() {
 
     for b in &benches {
         let name = b.name();
-
-        // A packable kind through the kind dispatch advances the counter
-        // too. VC lanes are 16 bits wide (4 per word), so pack a 4-config
-        // subset.
-        let vc_configs = &configs[..4];
-        let before = lane_packed_sweeps();
-        let packed = path_real_sweep_automaton(AutomatonKind::Vc3Mru, vc_configs, b);
-        assert_eq!(
-            lane_packed_sweeps() - before,
-            1,
-            "{name}: VC3-MRU must take the lane-packed path"
-        );
-        assert_eq!(
-            packed,
-            path_real_sweep_scalar::<VotingCounters<3, true>>(vc_configs, b),
-            "{name}: lane-packed VC3-MRU must match the scalar engine"
-        );
-
-        // A RANDOM kind must leave the counter alone — scalar fallback —
-        // even for a shape the packed engine could otherwise hold.
-        let before = lane_packed_sweeps();
-        let random = path_real_sweep_automaton(AutomatonKind::Vc3Random, vc_configs, b);
-        assert_eq!(
-            lane_packed_sweeps(),
-            before,
-            "{name}: VC3-RANDOM must take the scalar fallback"
-        );
-        assert_eq!(
-            random,
-            path_real_sweep_scalar::<VotingCounters<3, false>>(vc_configs, b),
-            "{name}: the fallback is the scalar engine itself"
-        );
-
-        // A sweep wider than the word's lane capacity cannot pack either:
-        // LEH lanes are 4 bits wide, so a u64 holds 16 — 17 configs run
-        // scalar (counter unchanged) and still return correct results.
-        let wide_configs: Vec<Dolc> = (0..17).map(|_| Dolc::new(4, 4, 6, 6, 2)).collect();
         let before = lane_packed_sweeps();
         let wide = path_real_sweep(&wide_configs, b);
         assert_eq!(
-            lane_packed_sweeps(),
-            before,
-            "{name}: a 17-config LEH sweep exceeds the 16-lane word and must run scalar"
+            lane_packed_sweeps() - before,
+            2,
+            "{name}: a 17-config sweep packs as two words"
         );
         assert_eq!(
             wide,
-            path_real_sweep_scalar::<LastExitHysteresis<2>>(&wide_configs, b)
+            path_real_sweep_scalar(&wide_configs, &b.descs, &b.trace.events),
+            "{name}: the two-word sweep must match the scalar oracle"
         );
     }
 }

@@ -7,10 +7,8 @@
 use multiscalar_harness::dispatch::Table4Column;
 use multiscalar_harness::pool::Pool;
 use multiscalar_harness::{prepare, profile};
-use multiscalar_sim::metrics::{Cause, CycleBreakdown, UnitOccupancy};
-use multiscalar_sim::replay::{
-    record_replay, simulate_replay, simulate_replay_fused_with_sinks, simulate_replay_with_sink,
-};
+use multiscalar_sim::metrics::{Cause, CycleBreakdown};
+use multiscalar_sim::replay::{record_replay, simulate_replay, simulate_replay_with_sink};
 use multiscalar_sim::timing::{simulate_with_sink, NextTaskPredictor, TimingConfig};
 use multiscalar_workloads::{Spec92, WorkloadParams};
 
@@ -171,62 +169,6 @@ fn occupancy_is_a_pure_observer_and_sums_per_unit() {
         occ_render.starts_with(&plain_render[..plain_render.find('\n').unwrap()]),
         "shared header line"
     );
-}
-
-/// Attribution survives the block-batched fused walk: running all five
-/// Table 4 columns fused, each with a live `(CycleBreakdown,
-/// UnitOccupancy)` sink, produces timing results *and* sink streams
-/// bit-identical to the solo runs, every breakdown still sums exactly to
-/// its run's cycles, and every unit still accounts for every cycle.
-#[test]
-fn fused_walk_preserves_attribution_and_occupancy() {
-    let config = TimingConfig::paper();
-    let b = prepare(Spec92::Compress, &params());
-    let replay = record_replay(&b.workload.program, &b.tasks, b.workload.max_steps)
-        .expect("recording succeeds");
-
-    let mut solo = Vec::new();
-    for column in Table4Column::ALL {
-        let mut sink = (CycleBreakdown::new(), UnitOccupancy::new(config.n_units));
-        let mut pred = column.predictor();
-        let result = simulate_replay_with_sink(
-            &replay,
-            &b.descs,
-            pred.as_mut().map(|p| p as &mut dyn NextTaskPredictor),
-            &config,
-            &mut sink,
-        );
-        solo.push((result, sink));
-    }
-
-    let mut predictors: Vec<_> = Table4Column::ALL.iter().map(|c| c.predictor()).collect();
-    let mut sinks: Vec<_> = Table4Column::ALL
-        .iter()
-        .map(|_| (CycleBreakdown::new(), UnitOccupancy::new(config.n_units)))
-        .collect();
-    let fused =
-        simulate_replay_fused_with_sinks(&replay, &b.descs, &mut predictors, &config, &mut sinks);
-
-    for (i, column) in Table4Column::ALL.iter().enumerate() {
-        let label = format!("Compress/{}", column.name());
-        let (solo_result, (solo_bd, solo_occ)) = &solo[i];
-        let (fused_bd, fused_occ) = &sinks[i];
-        assert_eq!(solo_result, &fused[i], "{label}: timing survives fusion");
-        assert_eq!(solo_bd, fused_bd, "{label}: attribution survives fusion");
-        assert_eq!(solo_occ, fused_occ, "{label}: occupancy survives fusion");
-        assert_eq!(
-            fused_bd.total(),
-            fused[i].cycles,
-            "{label}: every fused cycle attributed exactly once"
-        );
-        for u in 0..fused_occ.n_units() {
-            assert_eq!(
-                fused_occ.busy()[u] + fused_occ.stalled()[u] + fused_occ.idle()[u],
-                fused[i].cycles,
-                "{label}: unit {u} accounts for every fused cycle"
-            );
-        }
-    }
 }
 
 /// The task-level event log is well-formed JSON lines covering the whole

@@ -60,7 +60,6 @@ pub use metrics::{
     TaskEventSink, UnitOccupancy,
 };
 pub use replay::{
-    derive_trace, record_replay, simulate_replay, simulate_replay_fused,
-    simulate_replay_fused_with_sinks, simulate_replay_with_sink, InstrReplay,
+    derive_trace, record_replay, simulate_replay, simulate_replay_with_sink, InstrReplay,
 };
 pub use trace::{TaskEvent, TraceRun, TraceStats};

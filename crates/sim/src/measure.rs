@@ -106,29 +106,22 @@ impl FullStats {
     }
 }
 
-/// Measures an exit predictor alone (Figures 6, 7, 10, 11).
+/// Measures an exit predictor alone (Figures 6, 7, 10, 11): the
+/// one-predictor case of [`measure_exits_fused`].
 pub fn measure_exits<P: ExitPredictor>(
     predictor: &mut P,
     descs: &[TaskDesc],
     events: &SharedTrace,
 ) -> MissStats {
-    let mut stats = MissStats::default();
-    for e in events.iter() {
-        let desc = &descs[e.task.index()];
-        let predicted = predictor.predict(desc);
-        stats.record(predicted != e.exit);
-        predictor.update(desc, e.exit);
-    }
-    stats
+    measure_exits_fused(std::slice::from_mut(predictor), descs, events)[0]
 }
 
 /// Measures many independent exit predictors in a single trace walk.
 ///
-/// Equivalent to calling [`measure_exits`] once per predictor, but the
-/// multi-million-event trace is streamed exactly once: each event is decoded
-/// once and fed to every predictor. Predictors never observe each other, so
-/// the per-predictor results are bit-identical to the one-at-a-time loop —
-/// this is what lets a whole depth sweep (`0..=8`) ride one walk.
+/// The multi-million-event trace is streamed exactly once: each event is
+/// decoded once and fed to every predictor. Predictors never observe each
+/// other, so each result is bit-identical to a one-predictor walk — this
+/// is what lets a whole depth sweep (`0..=8`) ride one walk.
 ///
 /// When every predictor in the sweep is a PATH predictor over the **same**
 /// lane-packable automaton family (the fig10/fig11 grid shape), use
@@ -312,29 +305,18 @@ impl TargetBuffer for IdealCttb {
 }
 
 /// Measures target prediction for *indirect* exits only (Figures 8 and 12):
-/// the buffer is consulted and trained on `INDIRECT_BRANCH` /
-/// `INDIRECT_CALL` events; every event advances the path.
+/// the one-buffer case of [`measure_indirect_targets_fused`].
 pub fn measure_indirect_targets<B: TargetBuffer>(
     buffer: &mut B,
     descs: &[TaskDesc],
     events: &SharedTrace,
 ) -> MissStats {
-    let mut stats = MissStats::default();
-    let mut path = PathRegister::new(buffer.path_depth());
-    for e in events.iter() {
-        let cur = descs[e.task.index()].entry();
-        if e.kind.needs_target_buffer() {
-            let predicted = buffer.predict(&path, cur);
-            stats.record(predicted != Some(e.next));
-            buffer.update(&path, cur, e.next);
-        }
-        path.push(cur);
-    }
-    stats
+    measure_indirect_targets_fused(std::slice::from_mut(buffer), descs, events)[0]
 }
 
-/// Measures many independent target buffers in a single trace walk
-/// (the fused form of [`measure_indirect_targets`]).
+/// Measures many independent target buffers in a single trace walk: each
+/// buffer is consulted and trained on `INDIRECT_BRANCH` / `INDIRECT_CALL`
+/// events, and every event advances the path.
 ///
 /// Each buffer keeps its own [`PathRegister`] at its own depth, so results
 /// are bit-identical to measuring the buffers one at a time.

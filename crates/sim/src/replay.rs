@@ -7,9 +7,9 @@
 //! arrays [`InstrReplay`]. The structure is immutable and is shared behind
 //! `Arc` exactly like `SharedTrace`, so **every** consumer of a benchmark's
 //! execution rides one recording: Table 4's five predictor columns, the
-//! `table4_timing` bench ablations, the registry's fig10/fig11 grids
+//! `profile` and `ext` timing runs, and the registry's fig10/fig11 grids
 //! (whose functional traces derive from the same artifact via
-//! [`derive_trace`]), and the sanitizer's fused/solo cross-checks.
+//! [`derive_trace`]).
 //! [`simulate_replay`] drives [`crate::timing::simulate_core`] from the
 //! recording with zero re-interpretation and returns a `TimingResult`
 //! bit-identical to [`crate::timing::simulate`]'s.
@@ -42,8 +42,8 @@ use multiscalar_taskform::{TaskId, TaskProgram};
 
 use crate::metrics::{MetricsSink, NoopSink};
 use crate::timing::{
-    simulate_core, BoundaryStep, CoreState, CoreStep, NextTaskPredictor, OpClass, StepSource,
-    TimingConfig, TimingResult, NO_REG,
+    simulate_core, BoundaryStep, CoreStep, NextTaskPredictor, OpClass, StepSource, TimingConfig,
+    TimingResult, NO_REG,
 };
 use crate::trace::{kind_slot, SharedTrace, TaskEvent, TraceError, TraceRun, TraceStats};
 
@@ -429,98 +429,6 @@ pub fn simulate_replay_with_sink<M: MetricsSink>(
     .expect("replay cursor never errors")
 }
 
-/// Runs several independent timing configurations over one recording in a
-/// **single** walk. Table 4's five predictor columns are the original
-/// consumer; any set of slots over the same recording fits — the registry's
-/// grids and the sanitizer's cross-checks ride the same engine. Each slot
-/// of `predictors` is one run (use `None` for perfect prediction); the step
-/// stream is decoded once per block and fed to every run's [`CoreState`],
-/// so each result is bit-identical to a solo [`simulate_replay`] call with
-/// the same predictor.
-pub fn simulate_replay_fused(
-    replay: &InstrReplay,
-    descs: &[TaskDesc],
-    predictors: &mut [Option<Box<dyn NextTaskPredictor>>],
-    config: &TimingConfig,
-) -> Vec<TimingResult> {
-    let mut sinks = vec![NoopSink; predictors.len()];
-    simulate_replay_fused_with_sinks(replay, descs, predictors, config, &mut sinks)
-}
-
-/// Steps decoded per batch of the fused walk. Large enough that each
-/// slot's hot state (scoreboard, store queue, ARB) stays cache-resident
-/// across its inner run; small enough that the shared decoded block and
-/// every slot's working set coexist in L1/L2.
-const FUSE_BLOCK: usize = 128;
-
-/// [`simulate_replay_fused`] with one live [`MetricsSink`] per fused run:
-/// `sinks[i]` observes the run driven by `predictors[i]`. Each sink sees
-/// exactly the event stream a solo [`simulate_replay_with_sink`] call with
-/// the same predictor would produce.
-///
-/// The walk is **block-batched**: the cursor decodes [`FUSE_BLOCK`] steps
-/// into a reusable buffer, then each slot consumes the whole block before
-/// the next slot starts. Slots never observe each other and each still
-/// sees the full step stream in order, so batching is invisible to the
-/// results — it only converts the inner loop from slot-interleaved (which
-/// drags every slot's hot state through the cache at every step) to
-/// slot-major bursts.
-///
-/// # Panics
-///
-/// If `sinks` and `predictors` differ in length.
-pub fn simulate_replay_fused_with_sinks<M: MetricsSink>(
-    replay: &InstrReplay,
-    descs: &[TaskDesc],
-    predictors: &mut [Option<Box<dyn NextTaskPredictor>>],
-    config: &TimingConfig,
-    sinks: &mut [M],
-) -> Vec<TimingResult> {
-    assert_eq!(
-        predictors.len(),
-        sinks.len(),
-        "one sink per fused predictor slot"
-    );
-    let mut states: Vec<CoreState<'_>> = predictors
-        .iter_mut()
-        .map(|p| {
-            CoreState::new(
-                p.as_mut().map(|b| b as &mut dyn NextTaskPredictor),
-                config,
-                replay.mem_words,
-            )
-        })
-        .collect();
-    for (state, sink) in states.iter().zip(sinks.iter_mut()) {
-        state.bootstrap(sink);
-    }
-    let mut cursor = ReplayCursor::new(replay);
-    let mut block: Vec<CoreStep> = Vec::with_capacity(FUSE_BLOCK);
-    let mut halted = false;
-    while !halted {
-        block.clear();
-        while block.len() < FUSE_BLOCK && !halted {
-            let step = cursor.next_step().expect("replay cursor never errors");
-            halted = step.halt;
-            block.push(step);
-        }
-        for (state, sink) in states.iter_mut().zip(sinks.iter_mut()) {
-            for step in &block {
-                state.on_step(step, descs, config, sink);
-            }
-        }
-    }
-    states
-        .into_iter()
-        .zip(sinks.iter_mut())
-        .map(|(state, sink)| {
-            let result = state.finish();
-            sink.finish(&result);
-            result
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,56 +498,6 @@ mod tests {
         let fast = simulate_replay(&replay, &descs, Some(&mut mk()), &config);
         assert_eq!(legacy, fast);
         assert!(legacy.dynamic_tasks > 0);
-    }
-
-    #[test]
-    fn fused_columns_match_solo_replay_runs() {
-        let p = mixed_program(500);
-        let tp = TaskFormer::default().form(&p).unwrap();
-        let descs = task_descs(&tp);
-        let replay = record_replay(&p, &tp, 1_000_000).unwrap();
-        let config = TimingConfig::default();
-
-        let mk = |depth| {
-            Box::new(TaskPredictor::<PathLeh2>::path(
-                Dolc::new(depth, 4, 6, 6, 2),
-                Dolc::new(4, 3, 4, 4, 2),
-                16,
-            )) as Box<dyn NextTaskPredictor>
-        };
-        let mut preds = vec![None, Some(mk(2)), Some(mk(4))];
-        let fused = simulate_replay_fused(&replay, &descs, &mut preds, &config);
-
-        let solo_perfect = simulate_replay(&replay, &descs, None, &config);
-        let solo_d2 = simulate_replay(&replay, &descs, Some(&mut *mk(2)), &config);
-        let solo_d4 = simulate_replay(&replay, &descs, Some(&mut *mk(4)), &config);
-        assert_eq!(fused, vec![solo_perfect, solo_d2, solo_d4]);
-    }
-
-    #[test]
-    fn fused_block_batching_is_invisible_across_program_lengths() {
-        // Recording lengths on both sides of (and straddling) FUSE_BLOCK
-        // multiples: partial final blocks, single-block runs, halts landing
-        // anywhere in a block — all must stay bit-identical to solo runs.
-        let config = TimingConfig::default();
-        let mk = || {
-            Box::new(TaskPredictor::<PathLeh2>::path(
-                Dolc::new(4, 4, 6, 6, 2),
-                Dolc::new(4, 3, 4, 4, 2),
-                16,
-            )) as Box<dyn NextTaskPredictor>
-        };
-        for iters in [1, 3, 17, 64, 200] {
-            let p = mixed_program(iters);
-            let tp = TaskFormer::default().form(&p).unwrap();
-            let descs = task_descs(&tp);
-            let replay = record_replay(&p, &tp, 1_000_000).unwrap();
-            let mut preds = vec![None, Some(mk())];
-            let fused = simulate_replay_fused(&replay, &descs, &mut preds, &config);
-            let solo_perfect = simulate_replay(&replay, &descs, None, &config);
-            let solo_real = simulate_replay(&replay, &descs, Some(&mut *mk()), &config);
-            assert_eq!(fused, vec![solo_perfect, solo_real], "iters {iters}");
-        }
     }
 
     #[test]

@@ -14,11 +14,6 @@
 //! and, crucially, the **same task-boundary events** (retiring task, header
 //! exit, next-task entry).
 //!
-//! [`check_fused_agreement`] closes the remaining gap: it runs the fused
-//! multi-column sweep ([`crate::replay::simulate_replay_fused`]) and the
-//! equivalent solo runs in one process and asserts bit-identical
-//! [`crate::timing::TimingResult`]s *and* cycle attributions per column.
-//!
 //! Enabling the feature also arms assertions inside the model itself:
 //!
 //! * [`crate::arb::Arb::commit_head`] asserts commit order is strictly
@@ -28,15 +23,9 @@
 //!
 //! Those in-model assertions compile away when the feature is off.
 
-use crate::metrics::CycleBreakdown;
-use crate::replay::{
-    record_replay, simulate_replay_fused_with_sinks, simulate_replay_with_sink, ReplayCursor,
-};
-use crate::timing::{
-    CoreStep, InterpSource, NextTaskPredictor, OpClass, StepSource, TimingConfig, TimingResult,
-};
+use crate::replay::{record_replay, ReplayCursor};
+use crate::timing::{CoreStep, InterpSource, OpClass, StepSource};
 use crate::trace::TraceError;
-use multiscalar_core::predictor::TaskDesc;
 use multiscalar_isa::Program;
 use multiscalar_taskform::TaskProgram;
 
@@ -105,92 +94,11 @@ pub fn check_replay_agreement(
     Ok(steps)
 }
 
-/// Cross-checks the fused sweep engine against solo runs **in one
-/// process**: records `program` once, runs each predictor slot solo and
-/// all slots fused over the same recording, and asserts per slot that the
-/// [`TimingResult`]s are bit-identical *and* that the [`CycleBreakdown`]s
-/// agree cause by cause (each breakdown also self-asserts that it sums to
-/// the run's cycle count). Returns the per-slot results.
-///
-/// `make_predictor` is called twice per slot — once for the solo pass,
-/// once for the fused pass — and must return an identically fresh
-/// predictor both times (`None` = perfect prediction).
-///
-/// # Errors
-///
-/// Propagates recording failures (execution faults, step-budget
-/// exhaustion).
-///
-/// # Panics
-///
-/// Panics on the first slot where fused and solo disagree — that is the
-/// sanitizer finding a bug in the fused lockstep walk.
-pub fn check_fused_agreement<F>(
-    program: &Program,
-    tasks: &TaskProgram,
-    descs: &[TaskDesc],
-    config: &TimingConfig,
-    max_steps: u64,
-    n_slots: usize,
-    mut make_predictor: F,
-) -> Result<Vec<TimingResult>, TraceError>
-where
-    F: FnMut(usize) -> Option<Box<dyn NextTaskPredictor>>,
-{
-    let replay = record_replay(program, tasks, max_steps)?;
-
-    let mut solo = Vec::with_capacity(n_slots);
-    for i in 0..n_slots {
-        let mut pred = make_predictor(i);
-        let mut breakdown = CycleBreakdown::new();
-        let result = simulate_replay_with_sink(
-            &replay,
-            descs,
-            pred.as_mut().map(|p| p as &mut dyn NextTaskPredictor),
-            config,
-            &mut breakdown,
-        );
-        solo.push((result, breakdown));
-    }
-
-    let mut predictors: Vec<_> = (0..n_slots).map(&mut make_predictor).collect();
-    let mut fused_breakdowns = vec![CycleBreakdown::new(); n_slots];
-    let fused = simulate_replay_fused_with_sinks(
-        &replay,
-        descs,
-        &mut predictors,
-        config,
-        &mut fused_breakdowns,
-    );
-
-    for (i, ((solo_result, solo_breakdown), (fused_result, fused_breakdown))) in solo
-        .iter()
-        .zip(fused.iter().zip(&fused_breakdowns))
-        .enumerate()
-    {
-        assert_eq!(
-            solo_result, fused_result,
-            "sanitize: fused slot {i} result diverges from its solo run"
-        );
-        assert_eq!(
-            solo_breakdown, fused_breakdown,
-            "sanitize: fused slot {i} cycle breakdown diverges from its solo run"
-        );
-    }
-    Ok(fused)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure::task_descs;
-    use multiscalar_core::automata::{Automaton, LastExit, LastExitHysteresis, VotingCounters};
-    use multiscalar_core::dolc::Dolc;
-    use multiscalar_core::history::PathPredictor;
-    use multiscalar_core::predictor::TaskPredictor;
     use multiscalar_isa::{AluOp, Cond, ProgramBuilder, Reg};
     use multiscalar_taskform::TaskFormer;
-    use multiscalar_workloads::{Spec92, WorkloadParams};
 
     #[test]
     fn lockstep_feeds_agree_on_a_mixed_program() {
@@ -214,43 +122,5 @@ mod tests {
         let tasks = TaskFormer::default().form(&p).unwrap();
         let steps = check_replay_agreement(&p, &tasks, 1_000_000).unwrap();
         assert!(steps > 300, "the loop body runs 300 times: {steps}");
-    }
-
-    /// Fused/solo agreement for every lane-packed automaton family on a
-    /// real paper workload — the block-batched fused walk must stay
-    /// bit-identical (results *and* cycle breakdowns) no matter which
-    /// family drives the inter-task predictor.
-    #[test]
-    fn fused_agreement_holds_for_every_lane_packed_family() {
-        fn check_family<A: Automaton + 'static>() {
-            let w = Spec92::Compress.build(&WorkloadParams::small(7));
-            let tasks = TaskFormer::default().form(&w.program).unwrap();
-            let descs = task_descs(&tasks);
-            let results = check_fused_agreement(
-                &w.program,
-                &tasks,
-                &descs,
-                &TimingConfig::default(),
-                w.max_steps,
-                2,
-                |slot| {
-                    (slot > 0).then(|| {
-                        Box::new(TaskPredictor::<PathPredictor<A>>::path(
-                            Dolc::new(4, 4, 6, 6, 2),
-                            Dolc::new(4, 3, 4, 4, 2),
-                            16,
-                        )) as Box<dyn NextTaskPredictor>
-                    })
-                },
-            )
-            .unwrap();
-            assert_eq!(results.len(), 2, "{}", A::NAME);
-            assert!(results[0].dynamic_tasks > 0, "{}", A::NAME);
-        }
-        check_family::<LastExit>();
-        check_family::<LastExitHysteresis<1>>();
-        check_family::<LastExitHysteresis<2>>();
-        check_family::<VotingCounters<2, true>>();
-        check_family::<VotingCounters<3, true>>();
     }
 }

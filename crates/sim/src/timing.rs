@@ -541,12 +541,8 @@ impl StepSource for InterpSource<'_> {
 // The cycle-accounting core
 // ---------------------------------------------------------------------------
 
-/// All per-run mutable state of the cycle-accounting loop, folded out of
-/// [`simulate_core`] so several independent runs (e.g. Table 4's five
-/// predictor columns) can consume a single step stream in lockstep
-/// ([`crate::replay::simulate_replay_fused`]). Each state sees exactly the
-/// step sequence a solo run would, so fused and solo runs are bit-identical
-/// by construction.
+/// All per-run mutable state of the cycle-accounting loop that
+/// [`simulate_core`] drives: one state per run, fed one step at a time.
 pub(crate) struct CoreState<'p> {
     intra: IntraState,
     result: TimingResult,

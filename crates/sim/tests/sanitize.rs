@@ -3,14 +3,17 @@
 
 #![cfg(feature = "sanitize")]
 
-use multiscalar_core::automata::LastExitHysteresis;
+use multiscalar_core::automata::{
+    Automaton, AutomatonKind, LastExit, LastExitHysteresis, VotingCounters,
+};
 use multiscalar_core::dolc::Dolc;
 use multiscalar_core::history::PathPredictor;
 use multiscalar_core::predictor::TaskPredictor;
 use multiscalar_sim::arb::{Arb, ArbConfig};
-use multiscalar_sim::sanitize::{check_fused_agreement, check_replay_agreement};
-use multiscalar_sim::timing::{simulate, NextTaskPredictor, TimingConfig};
-use multiscalar_sim::{record_replay, simulate_replay, task_descs};
+use multiscalar_sim::metrics::CycleBreakdown;
+use multiscalar_sim::sanitize::check_replay_agreement;
+use multiscalar_sim::timing::{simulate, simulate_with_sink, NextTaskPredictor, TimingConfig};
+use multiscalar_sim::{record_replay, simulate_replay, simulate_replay_with_sink, task_descs};
 use multiscalar_taskform::TaskFormer;
 use multiscalar_workloads::{Spec92, WorkloadParams};
 
@@ -28,9 +31,19 @@ fn replay_agrees_with_interpreter_on_all_workloads() {
     }
 }
 
+/// The Table 4-style PATH predictor over automaton family `A`.
+fn path_predictor<A: Automaton + 'static>() -> Box<dyn NextTaskPredictor> {
+    Box::new(TaskPredictor::<PathPredictor<A>>::path(
+        Dolc::new(4, 4, 6, 6, 2),
+        Dolc::new(4, 3, 4, 4, 2),
+        16,
+    ))
+}
+
 /// A full sanitized timing run: every armed assertion (ARB FIFO commit,
-/// monotone ring clocks) must hold over a real workload, and the replay
-/// engine must still match the interpreter bit for bit.
+/// monotone ring clocks) must hold over a real workload, the replay
+/// engine must still match the interpreter bit for bit, and perfect
+/// prediction is never slower than a real predictor.
 #[test]
 fn sanitized_timing_run_holds_all_invariants() {
     let w = Spec92::Compress.build(&WorkloadParams::small(5));
@@ -42,41 +55,59 @@ fn sanitized_timing_run_holds_all_invariants() {
     let fast = simulate_replay(&replay, &descs, None, &config);
     assert_eq!(legacy, fast);
     assert!(legacy.instructions > 0);
+    let real = simulate_replay(
+        &replay,
+        &descs,
+        Some(&mut *path_predictor::<LastExitHysteresis<2>>()),
+        &config,
+    );
+    assert!(
+        fast.cycles <= real.cycles,
+        "perfect prediction can never be slower than a real predictor"
+    );
 }
 
-/// The fused sweep engine agrees with solo runs in one process: same
-/// recording, each predictor slot run solo and fused, results and cycle
-/// breakdowns bit-identical per slot (the breakdown sink additionally
-/// asserts its attribution sums to the run's cycle count).
+/// Every automaton family of Figure 6 — the two `VC RANDOM` kinds
+/// included — drives the interpreter-fed and the replay-fed timing runs
+/// to the same result and the same cycle attribution, cause by cause,
+/// with the attribution summing exactly to the run's cycles.
 #[test]
-fn fused_sweep_agrees_with_solo_runs_and_breakdowns() {
+fn every_automaton_kind_times_identically_on_both_engines() {
     let w = Spec92::Compress.build(&WorkloadParams::small(7));
     let tasks = TaskFormer::default().form(&w.program).unwrap();
     let descs = task_descs(&tasks);
     let config = TimingConfig::paper();
-    let make = |slot: usize| -> Option<Box<dyn NextTaskPredictor>> {
-        match slot {
-            // Slot 0 is perfect prediction; the rest are identical real
-            // PATH predictors (so their results must also match each other).
-            0 => None,
-            _ => Some(Box::new(TaskPredictor::<
-                PathPredictor<LastExitHysteresis<2>>,
-            >::path(
-                Dolc::new(4, 4, 6, 6, 2),
-                Dolc::new(4, 3, 4, 4, 2),
-                16,
-            ))),
-        }
-    };
-    let results =
-        check_fused_agreement(&w.program, &tasks, &descs, &config, w.max_steps, 3, make).unwrap();
-    assert_eq!(results.len(), 3);
-    assert!(results.iter().all(|r| r.instructions > 0));
-    assert_eq!(results[1], results[2], "identical slots must agree");
-    assert!(
-        results[0].cycles <= results[1].cycles,
-        "perfect prediction can never be slower than a real predictor"
-    );
+    let replay = record_replay(&w.program, &tasks, w.max_steps).unwrap();
+    for kind in AutomatonKind::ALL {
+        let make = || match kind {
+            AutomatonKind::Vc2Mru => path_predictor::<VotingCounters<2, true>>(),
+            AutomatonKind::Vc2Random => path_predictor::<VotingCounters<2, false>>(),
+            AutomatonKind::Leh1 => path_predictor::<LastExitHysteresis<1>>(),
+            AutomatonKind::Vc3Mru => path_predictor::<VotingCounters<3, true>>(),
+            AutomatonKind::Vc3Random => path_predictor::<VotingCounters<3, false>>(),
+            AutomatonKind::Leh2 => path_predictor::<LastExitHysteresis<2>>(),
+            AutomatonKind::LastExit => path_predictor::<LastExit>(),
+        };
+        let mut interp_bd = CycleBreakdown::new();
+        let interp = simulate_with_sink(
+            &w.program,
+            &tasks,
+            &descs,
+            Some(&mut *make()),
+            &config,
+            w.max_steps,
+            &mut interp_bd,
+        )
+        .unwrap();
+        let mut replay_bd = CycleBreakdown::new();
+        let replayed =
+            simulate_replay_with_sink(&replay, &descs, Some(&mut *make()), &config, &mut replay_bd);
+        let name = kind.name();
+        assert_eq!(interp, replayed, "{name}: TimingResult");
+        assert_eq!(interp_bd, replay_bd, "{name}: CycleBreakdown");
+        assert_eq!(interp_bd.total(), interp.cycles, "{name}: breakdown sum");
+        assert!(interp.dynamic_tasks > 0, "{name}: empty run");
+    }
 }
 
 /// The ARB commit-order assertion actually fires: after committing stage 5,

@@ -1,8 +1,8 @@
 //! The fuzz corpus generator: seed → shape → random well-formed program.
 //!
 //! `harness fuzz` drives every generated program through a differential
-//! oracle stack (lint, interpreter vs replay vs fused vs lane-packed
-//! engines, cycle-attribution sums); this module owns the *generation*
+//! oracle stack (lint, interpreter vs replay timing, lane-packed vs
+//! scalar sweeps, cycle-attribution sums); this module owns the *generation*
 //! side so the corpus is reproducible from a single `u64` seed anywhere in
 //! the workspace — tests, the CLI sweep, and the predictor-zoo ranking all
 //! regenerate identical programs.

@@ -7,7 +7,7 @@
 //! ```
 
 use multiscalar::core::automata::AutomatonKind;
-use multiscalar::harness::dispatch::{measure_ideal, measure_ideal_path_automaton, Scheme};
+use multiscalar::harness::dispatch::{measure_ideal, measure_ideal_path_automaton_sweep, Scheme};
 use multiscalar::harness::prepare;
 use multiscalar::workloads::{Spec92, WorkloadParams};
 
@@ -38,7 +38,7 @@ fn main() {
 
     println!("\nprediction automata (ideal PATH indexing, depth {depth}):");
     for kind in AutomatonKind::ALL {
-        let stats = measure_ideal_path_automaton(kind, depth, &bench);
+        let stats = measure_ideal_path_automaton_sweep(kind, &[depth], &bench)[0];
         println!(
             "  {:<16} {:>7.2}% miss  ({} bits/entry)",
             kind.name(),

@@ -8,7 +8,7 @@ use multiscalar::core::history::PathPredictor;
 use multiscalar::core::predictor::{CttbOnlyPredictor, TaskPredictor};
 use multiscalar::core::target::{Cttb, Ttb};
 use multiscalar::harness::dispatch::{
-    cttb_ladder, measure_ideal, measure_ideal_path_automaton, Scheme,
+    cttb_ladder, measure_ideal, measure_ideal_path_automaton_sweep, Scheme,
 };
 use multiscalar::harness::{prepare, Bench};
 use multiscalar::sim::measure::{measure_cttb_only, measure_full, measure_indirect_targets};
@@ -31,9 +31,9 @@ fn gcc() -> Bench {
 #[test]
 fn leh2_beats_last_exit_and_matches_vc3() {
     let b = gcc();
-    let le = measure_ideal_path_automaton(AutomatonKind::LastExit, 5, &b).miss_rate();
-    let leh2 = measure_ideal_path_automaton(AutomatonKind::Leh2, 5, &b).miss_rate();
-    let vc3 = measure_ideal_path_automaton(AutomatonKind::Vc3Mru, 5, &b).miss_rate();
+    let le = measure_ideal_path_automaton_sweep(AutomatonKind::LastExit, &[5], &b)[0].miss_rate();
+    let leh2 = measure_ideal_path_automaton_sweep(AutomatonKind::Leh2, &[5], &b)[0].miss_rate();
+    let vc3 = measure_ideal_path_automaton_sweep(AutomatonKind::Vc3Mru, &[5], &b)[0].miss_rate();
     assert!(leh2 < le, "LEH-2bit ({leh2:.4}) must beat LE ({le:.4})");
     assert!(
         (leh2 - vc3).abs() < 0.01,
