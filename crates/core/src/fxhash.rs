@@ -8,6 +8,12 @@
 //! simulation is single-keyed per run. The multiply-rotate scheme below
 //! (the well-known "Fx" construction from rustc) is several times cheaper
 //! per lookup and fully deterministic across platforms and runs.
+//!
+//! A single-word key hashes to `key * SEED`, and a product's low bits
+//! depend only on the factors' low bits. The map picks a bucket from the
+//! hash's low bits, so the varied part of a packed `u64` key belongs in
+//! its low word: the ideal sweeps' trie keys children by
+//! `parent | symbol << 32` for exactly this reason.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -2,16 +2,27 @@
 //!
 //! "We define ideal to mean there is no aliasing in any of the data
 //! structures": every distinct (task, history) state gets its own
-//! automaton, realised here with hash maps instead of finite tables.
+//! automaton, realised here with unbounded maps and tries instead of
+//! finite tables.
 //!
 //! At history depth 0 all three schemes degenerate to one automaton per
 //! static task, which is why the paper's Figure 7 curves converge at the
 //! left edge — reproduced by this crate's tests.
+//!
+//! Two engines realise the same models. The map-backed [`IdealGlobal`],
+//! [`IdealPer`], [`IdealPath`] and [`crate::target::IdealCttb`] are
+//! single-depth predictors: one map probe per event. The depth sweeps
+//! ([`IdealSweep`], [`IdealCttbSweep`]) walk one interned history trie per
+//! event for all of their depths, and the map models are their oracle.
+
+mod sweep;
+
+pub use sweep::{IdealCttbSweep, IdealSweep};
 
 use crate::automata::Automaton;
 use crate::dolc::{PathKey, PathRegister, MAX_PATH_KEY_DEPTH};
 use crate::fxhash::FxHashMap;
-use crate::history::SingleExitMode;
+use crate::history::{mask64, SingleExitMode};
 use crate::predictor::{ExitPredictor, TaskDesc};
 use crate::rng::XorShift64;
 use multiscalar_isa::ExitIndex;
@@ -20,6 +31,15 @@ const EXIT0: ExitIndex = match ExitIndex::new(0) {
     Some(e) => e,
     None => unreachable!(),
 };
+
+/// Predicts with `a`, then trains it with the actual exit: one event on
+/// one automaton, whether it sits in a map or in a trie node.
+#[inline]
+fn train<A: Automaton>(a: &mut A, tie: &mut XorShift64, actual: ExitIndex) -> ExitIndex {
+    let predicted = a.predict(tie);
+    a.update(actual);
+    predicted
+}
 
 /// Ideal GLOBAL: automaton per (task address, exact exit history of the
 /// last `depth` task steps).
@@ -53,12 +73,7 @@ impl<A: Automaton> IdealGlobal<A> {
     }
 
     fn key(&self, task: &TaskDesc) -> (u32, u64) {
-        let m = if self.depth == 0 {
-            0
-        } else {
-            (1u64 << (2 * self.depth)) - 1
-        };
-        (task.entry().0, self.hist & m)
+        (task.entry().0, self.hist & mask64(2 * self.depth))
     }
 }
 
@@ -75,6 +90,13 @@ impl<A: Automaton> ExitPredictor for IdealGlobal<A> {
         let key = self.key(task);
         self.map.entry(key).or_default().update(actual);
         self.hist = (self.hist << 2) | actual.as_u8() as u64;
+    }
+
+    fn predict_update(&mut self, task: &TaskDesc, actual: ExitIndex) -> ExitIndex {
+        let key = self.key(task);
+        let predicted = train(self.map.entry(key).or_default(), &mut self.tie, actual);
+        self.hist = (self.hist << 2) | actual.as_u8() as u64;
+        predicted
     }
 
     fn states_touched(&self) -> usize {
@@ -117,17 +139,20 @@ impl<A: Automaton> IdealPer<A> {
     }
 
     fn key(&self, task: &TaskDesc) -> (u32, u64) {
-        let m = if self.depth == 0 {
-            0
-        } else {
-            (1u64 << (2 * self.depth)) - 1
-        };
         let h = self
             .hists
             .get(task.entry().0 as usize)
             .copied()
             .unwrap_or(0);
-        (task.entry().0, h & m)
+        (task.entry().0, h & mask64(2 * self.depth))
+    }
+
+    fn push(&mut self, task: &TaskDesc, actual: ExitIndex) {
+        let i = task.entry().0 as usize;
+        if i >= self.hists.len() {
+            self.hists.resize(i + 1, 0);
+        }
+        self.hists[i] = (self.hists[i] << 2) | actual.as_u8() as u64;
     }
 }
 
@@ -143,11 +168,14 @@ impl<A: Automaton> ExitPredictor for IdealPer<A> {
     fn update(&mut self, task: &TaskDesc, actual: ExitIndex) {
         let key = self.key(task);
         self.map.entry(key).or_default().update(actual);
-        let i = task.entry().0 as usize;
-        if i >= self.hists.len() {
-            self.hists.resize(i + 1, 0);
-        }
-        self.hists[i] = (self.hists[i] << 2) | actual.as_u8() as u64;
+        self.push(task, actual);
+    }
+
+    fn predict_update(&mut self, task: &TaskDesc, actual: ExitIndex) -> ExitIndex {
+        let key = self.key(task);
+        let predicted = train(self.map.entry(key).or_default(), &mut self.tie, actual);
+        self.push(task, actual);
+        predicted
     }
 
     fn states_touched(&self) -> usize {
@@ -225,6 +253,17 @@ impl<A: Automaton> ExitPredictor for IdealPath<A> {
         let key = (task.entry().0, self.path.key());
         self.map.entry(key).or_default().update(actual);
         self.path.push(task.entry());
+    }
+
+    fn predict_update(&mut self, task: &TaskDesc, actual: ExitIndex) -> ExitIndex {
+        if self.skip(task) {
+            self.update(task, actual);
+            return EXIT0;
+        }
+        let key = (task.entry().0, self.path.key());
+        let predicted = train(self.map.entry(key).or_default(), &mut self.tie, actual);
+        self.path.push(task.entry());
+        predicted
     }
 
     fn states_touched(&self) -> usize {
@@ -345,6 +384,54 @@ mod tests {
             e(0),
             "cold prediction is the automaton default"
         );
+    }
+
+    #[test]
+    fn depth_32_keeps_all_32_steps_of_history() {
+        // A 4000-event random stream on one two-exit task: depth 0 has one
+        // state, and 32 steps of random history make almost every event a
+        // new state. The trie sweep must count the same.
+        let td = task(0x30, 2);
+        let mut rng = XorShift64::new(32);
+        let exits: Vec<ExitIndex> = (0..4000).map(|_| e(rng.next_below(2) as u8)).collect();
+        let mut global: Vec<IdealGlobal<Leh2>> = [0, 32].map(IdealGlobal::new).into();
+        let mut per: Vec<IdealPer<Leh2>> = [0, 32].map(IdealPer::new).into();
+        let mut global_sweep = IdealSweep::<Leh2>::global(&[32]);
+        let mut per_sweep = IdealSweep::<Leh2>::per(&[32]);
+        for &x in &exits {
+            for p in &mut global {
+                p.predict_update(&td, x);
+            }
+            for p in &mut per {
+                p.predict_update(&td, x);
+            }
+            global_sweep.step(&td, x);
+            per_sweep.step(&td, x);
+        }
+        assert_eq!((global[0].states(), per[0].states()), (1, 1));
+        assert!(global[1].states() > 3900, "{}", global[1].states());
+        assert_eq!(global[1].states(), global_sweep.states(32));
+        assert!(per[1].states() > 3900, "{}", per[1].states());
+        assert_eq!(per[1].states(), per_sweep.states(32));
+    }
+
+    #[test]
+    fn predict_update_is_predict_then_update() {
+        // One probe per event must not change a single prediction or the
+        // tie-break stream: VC RANDOM consumes the generator on ties.
+        type VcRandom = crate::automata::VotingCounters<2, false>;
+        let mut once: IdealPath<VcRandom> = IdealPath::new(2);
+        let mut twice: IdealPath<VcRandom> = IdealPath::new(2);
+        let mut rng = XorShift64::new(3);
+        for _ in 0..2000 {
+            let t = 1 + rng.next_below(6);
+            let td = task(0x10 * t, 1 + t as usize % 4);
+            let actual = e(rng.next_below(td.num_exits() as u32) as u8);
+            let predicted = twice.predict(&td);
+            twice.update(&td, actual);
+            assert_eq!(once.predict_update(&td, actual), predicted);
+        }
+        assert_eq!(once.states(), twice.states());
     }
 
     #[test]

@@ -92,6 +92,15 @@ pub trait ExitPredictor {
     /// paper's idealised update timing, §3.1.)
     fn update(&mut self, task: &TaskDesc, actual: ExitIndex);
 
+    /// [`predict`](Self::predict) then [`update`](Self::update) in one call,
+    /// returning the prediction. Predictors that locate their state with a
+    /// lookup override it to look up once per event.
+    fn predict_update(&mut self, task: &TaskDesc, actual: ExitIndex) -> ExitIndex {
+        let predicted = self.predict(task);
+        self.update(task, actual);
+        predicted
+    }
+
     /// Number of distinct predictor states (PHT entries / automata) touched
     /// so far — the quantity plotted in the paper's Figure 11.
     fn states_touched(&self) -> usize;
@@ -103,6 +112,9 @@ impl<P: ExitPredictor + ?Sized> ExitPredictor for Box<P> {
     }
     fn update(&mut self, task: &TaskDesc, actual: ExitIndex) {
         (**self).update(task, actual)
+    }
+    fn predict_update(&mut self, task: &TaskDesc, actual: ExitIndex) -> ExitIndex {
+        (**self).predict_update(task, actual)
     }
     fn states_touched(&self) -> usize {
         (**self).states_touched()

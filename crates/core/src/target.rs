@@ -85,7 +85,7 @@ impl ReturnAddressStack {
 /// One target-buffer entry: a target address plus a 2-bit hysteresis
 /// counter ("similar to the exit prediction automata", paper §5.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct TargetEntry {
+pub(crate) struct TargetEntry {
     target: u32,
     confidence: u8,
     valid: bool,
@@ -94,11 +94,11 @@ struct TargetEntry {
 impl TargetEntry {
     const MAX_CONF: u8 = 3;
 
-    fn predict(&self) -> Option<Addr> {
+    pub(crate) fn predict(&self) -> Option<Addr> {
         self.valid.then_some(Addr(self.target))
     }
 
-    fn train(&mut self, actual: Addr) {
+    pub(crate) fn train(&mut self, actual: Addr) {
         if self.valid && self.target == actual.0 {
             self.confidence = (self.confidence + 1).min(Self::MAX_CONF);
         } else if !self.valid || self.confidence == 0 {

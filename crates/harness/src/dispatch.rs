@@ -7,16 +7,20 @@ use multiscalar_core::automata::{
 };
 use multiscalar_core::dolc::Dolc;
 use multiscalar_core::history::{GlobalPredictor, PathPredictor, PerTaskPredictor};
-use multiscalar_core::ideal::{IdealGlobal, IdealPath, IdealPer};
+use multiscalar_core::ideal::{IdealCttbSweep, IdealGlobal, IdealPath, IdealPer, IdealSweep};
 use multiscalar_core::lane::{BatchedExitPredictor, LaneAutomaton};
 use multiscalar_core::predictor::{ExitPredictor, TaskDesc, TaskPredictor};
 use multiscalar_core::target::{Cttb, IdealCttb};
 use multiscalar_sim::measure::{
-    measure_exits, measure_exits_batched, measure_exits_fused, measure_indirect_targets_fused,
+    measure_exits, measure_exits_batched, measure_exits_fused, measure_exits_trie,
+    measure_indirect_targets, measure_indirect_targets_fused, measure_indirect_targets_trie,
     MissStats,
 };
 use multiscalar_sim::timing::NextTaskPredictor;
 use multiscalar_sim::trace::SharedTrace;
+
+/// LEH-2bit, the automaton of every predictor after Figure 6.
+type Leh2 = LastExitHysteresis<2>;
 
 /// The three history-generation schemes of paper §5.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,55 +62,81 @@ pub fn measure_ideal_on(
     descs: &[TaskDesc],
     events: &SharedTrace,
 ) -> MissStats {
+    ideal_oracle_on::<Leh2>(scheme, depth, descs, events).0
+}
+
+/// One ideal predictor on its map model: miss stats and states. The
+/// single-depth engine, and the oracle of the trie sweeps
+/// ([`ideal_sweep_on`]) in `tests/fused.rs` and fuzz oracle 6.
+pub fn ideal_oracle_on<A: Automaton>(
+    scheme: Scheme,
+    depth: u32,
+    descs: &[TaskDesc],
+    events: &SharedTrace,
+) -> (MissStats, usize) {
+    fn run<P: ExitPredictor>(
+        mut p: P,
+        descs: &[TaskDesc],
+        events: &SharedTrace,
+    ) -> (MissStats, usize) {
+        let stats = measure_exits(&mut p, descs, events);
+        (stats, p.states_touched())
+    }
     match scheme {
-        Scheme::Global => {
-            let mut p: IdealGlobal<LastExitHysteresis<2>> = IdealGlobal::new(depth);
-            measure_exits(&mut p, descs, events)
-        }
-        Scheme::Per => {
-            let mut p: IdealPer<LastExitHysteresis<2>> = IdealPer::new(depth);
-            measure_exits(&mut p, descs, events)
-        }
-        Scheme::Path => {
-            let mut p: IdealPath<LastExitHysteresis<2>> = IdealPath::new(depth);
-            measure_exits(&mut p, descs, events)
-        }
+        Scheme::Global => run(IdealGlobal::<A>::new(depth), descs, events),
+        Scheme::Per => run(IdealPer::<A>::new(depth), descs, events),
+        Scheme::Path => run(IdealPath::<A>::new(depth), descs, events),
     }
 }
 
-/// Fused form of [`measure_ideal`]: measures one ideal predictor per depth
-/// in a **single trace walk**. Results are bit-identical to calling
-/// `measure_ideal` once per depth (the predictor instances are independent).
+/// An ideal depth sweep over a bare task trace: one walk of one history
+/// trie for every depth, returning per-depth miss stats and states in the
+/// caller's order. Bit-identical to [`ideal_oracle_on`] per depth.
+pub fn ideal_sweep_on<A: Automaton>(
+    scheme: Scheme,
+    depths: &[u32],
+    descs: &[TaskDesc],
+    events: &SharedTrace,
+) -> Vec<(MissStats, usize)> {
+    let mut sweep = match scheme {
+        Scheme::Global => IdealSweep::<A>::global(depths),
+        Scheme::Per => IdealSweep::per(depths),
+        Scheme::Path => IdealSweep::path(depths),
+    };
+    measure_exits_trie(&mut sweep, descs, events)
+}
+
+/// Depth-sweep form of [`measure_ideal`]: one walk of one history trie
+/// measures every depth, bit-identical to calling `measure_ideal` once per
+/// depth.
 pub fn measure_ideal_sweep(scheme: Scheme, depths: &[u32], bench: &Bench) -> Vec<MissStats> {
-    match scheme {
-        Scheme::Global => {
-            let mut ps: Vec<IdealGlobal<LastExitHysteresis<2>>> =
-                depths.iter().map(|&d| IdealGlobal::new(d)).collect();
-            measure_exits_fused(&mut ps, &bench.descs, &bench.trace.events)
-        }
-        Scheme::Per => {
-            let mut ps: Vec<IdealPer<LastExitHysteresis<2>>> =
-                depths.iter().map(|&d| IdealPer::new(d)).collect();
-            measure_exits_fused(&mut ps, &bench.descs, &bench.trace.events)
-        }
-        Scheme::Path => {
-            let mut ps: Vec<IdealPath<LastExitHysteresis<2>>> =
-                depths.iter().map(|&d| IdealPath::new(d)).collect();
-            measure_exits_fused(&mut ps, &bench.descs, &bench.trace.events)
-        }
-    }
+    miss_stats(ideal_sweep_on::<Leh2>(
+        scheme,
+        depths,
+        &bench.descs,
+        &bench.trace.events,
+    ))
+}
+
+/// Drops the states counts of a sweep's results.
+fn miss_stats(results: Vec<(MissStats, usize)>) -> Vec<MissStats> {
+    results.into_iter().map(|(stats, _)| stats).collect()
 }
 
 /// Measures ideal PATH predictors with the given automaton kind (Figure
-/// 6's experiment), one per depth, in a single trace walk.
+/// 6's experiment) at every depth, in one walk of one history trie.
 pub fn measure_ideal_path_automaton_sweep(
     kind: AutomatonKind,
     depths: &[u32],
     bench: &Bench,
 ) -> Vec<MissStats> {
     fn run<A: Automaton>(depths: &[u32], bench: &Bench) -> Vec<MissStats> {
-        let mut ps: Vec<IdealPath<A>> = depths.iter().map(|&d| IdealPath::new(d)).collect();
-        measure_exits_fused(&mut ps, &bench.descs, &bench.trace.events)
+        miss_stats(ideal_sweep_on::<A>(
+            Scheme::Path,
+            depths,
+            &bench.descs,
+            &bench.trace.events,
+        ))
     }
     match kind {
         AutomatonKind::Vc2Mru => run::<VotingCounters<2, true>>(depths, bench),
@@ -128,7 +158,6 @@ pub fn measure_ideal_path_automaton_sweep(
 /// bit-identical to [`path_real_sweep_scalar`], the oracle
 /// `tests/lane_dispatch.rs` and fuzz oracle 6 hold it to.
 pub fn path_real_sweep(configs: &[Dolc], bench: &Bench) -> Vec<(MissStats, usize)> {
-    type Leh2 = LastExitHysteresis<2>;
     configs
         .chunks(Leh2::LANES)
         .flat_map(|chunk| {
@@ -157,16 +186,11 @@ pub fn path_real_sweep_scalar(
         .collect()
 }
 
-/// Fused ideal-PATH sweep over depths (Figures 10 and 11's "ideal" curves):
-/// one trace walk, returning per-depth miss stats and distinct states.
+/// Ideal-PATH sweep over depths (Figures 10 and 11's "ideal" curves): one
+/// walk of one history trie, returning per-depth miss stats and distinct
+/// states.
 pub fn path_ideal_sweep(depths: &[u32], bench: &Bench) -> Vec<(MissStats, usize)> {
-    let mut ps: Vec<IdealPath<LastExitHysteresis<2>>> =
-        depths.iter().map(|&d| IdealPath::new(d)).collect();
-    let stats = measure_exits_fused(&mut ps, &bench.descs, &bench.trace.events);
-    stats
-        .into_iter()
-        .zip(ps.iter().map(|p| p.states()))
-        .collect()
+    ideal_sweep_on::<Leh2>(Scheme::Path, depths, &bench.descs, &bench.trace.events)
 }
 
 /// Fused real-CTTB sweep over DOLC configurations (Figure 12): one walk of
@@ -176,10 +200,36 @@ pub fn cttb_real_sweep(configs: &[Dolc], bench: &Bench) -> Vec<MissStats> {
     measure_indirect_targets_fused(&mut bufs, &bench.descs, &bench.trace.events)
 }
 
-/// Fused ideal-CTTB sweep over path depths (Figures 8 and 12).
+/// Ideal-CTTB sweep over path depths (Figures 8 and 12): one walk of one
+/// history trie over the indirect-exit stream.
 pub fn cttb_ideal_sweep(depths: &[usize], bench: &Bench) -> Vec<MissStats> {
-    let mut bufs: Vec<IdealCttb> = depths.iter().map(|&d| IdealCttb::new(d)).collect();
-    measure_indirect_targets_fused(&mut bufs, &bench.descs, &bench.trace.events)
+    miss_stats(cttb_ideal_sweep_on(
+        depths,
+        &bench.descs,
+        &bench.trace.events,
+    ))
+}
+
+/// [`cttb_ideal_sweep`] over a bare task trace, with per-depth states.
+/// Bit-identical to [`cttb_ideal_oracle_on`] per depth.
+pub fn cttb_ideal_sweep_on(
+    depths: &[usize],
+    descs: &[TaskDesc],
+    events: &SharedTrace,
+) -> Vec<(MissStats, usize)> {
+    measure_indirect_targets_trie(&mut IdealCttbSweep::new(depths), descs, events)
+}
+
+/// One ideal CTTB on its map model: miss stats and states, the oracle of
+/// [`cttb_ideal_sweep_on`].
+pub fn cttb_ideal_oracle_on(
+    depth: usize,
+    descs: &[TaskDesc],
+    events: &SharedTrace,
+) -> (MissStats, usize) {
+    let mut buf = IdealCttb::new(depth);
+    let stats = measure_indirect_targets(&mut buf, descs, events);
+    (stats, buf.states())
 }
 
 /// Builds a boxed *real* exit predictor of the given scheme, LEH-2bit, with

@@ -19,10 +19,13 @@
 //!    [`TimingResult`](multiscalar_sim::timing::TimingResult)s *and*
 //!    [`CycleBreakdown`]s, each breakdown summing exactly to `cycles`;
 //! 5. *(no oracle: the numbers here are stable, so this one stays free)*;
-//! 6. **lane-packed vs scalar** — the SWAR batched sweep over the Figure 10
-//!    ladder must match the scalar oracle
-//!    ([`crate::dispatch::path_real_sweep_scalar`]), miss stats and
-//!    states-touched both;
+//! 6. **sweep engines vs their oracles** — the SWAR batched sweep over the
+//!    Figure 10 ladder must match the scalar oracle
+//!    ([`crate::dispatch::path_real_sweep_scalar`]), and the four ideal
+//!    trie sweeps (GLOBAL, PER, PATH, CTTB) must match one map model per
+//!    depth ([`crate::dispatch::ideal_oracle_on`],
+//!    [`crate::dispatch::cttb_ideal_oracle_on`]), miss stats and
+//!    states both;
 //! 7. **analyzer soundness** — the bounds, dead-write, and static-exit
 //!    claims the dataflow passes make must survive the concrete execution
 //!    ([`multiscalar_analyze::soundness::check_execution`]): a claimed
@@ -40,6 +43,9 @@
 //! All oracles run under `catch_unwind`, so one finding never aborts a
 //! sweep (the job pool propagates real panics — see `pool.rs`).
 
+use crate::dispatch::{
+    cttb_ideal_oracle_on, cttb_ideal_sweep_on, ideal_oracle_on, ideal_sweep_on, Scheme,
+};
 use crate::extensions::TASKFORM_CONFIGS;
 use crate::lint::lint_program;
 use crate::pool::Pool;
@@ -47,7 +53,7 @@ use multiscalar_core::automata::LastExitHysteresis;
 use multiscalar_core::dolc::Dolc;
 use multiscalar_core::history::PathPredictor;
 use multiscalar_core::lane::BatchedExitPredictor;
-use multiscalar_core::predictor::TaskPredictor;
+use multiscalar_core::predictor::{TaskDesc, TaskPredictor};
 use multiscalar_core::zoo::{GatedHybridPredictor, GshareExitPredictor};
 use multiscalar_isa::Program;
 use multiscalar_sim::measure::{measure_exits_batched, task_descs};
@@ -55,6 +61,7 @@ use multiscalar_sim::metrics::CycleBreakdown;
 use multiscalar_sim::replay::{derive_trace, record_replay, simulate_replay_with_sink};
 use multiscalar_sim::sanitize::check_replay_agreement;
 use multiscalar_sim::timing::{simulate_with_sink, NextTaskPredictor, TimingConfig};
+use multiscalar_sim::trace::SharedTrace;
 use multiscalar_taskform::TaskFormer;
 use multiscalar_workloads::fuzz::{fuzz_program, FuzzShape, MAX_MEMOPS, MAX_STEPS};
 use std::panic::AssertUnwindSafe;
@@ -237,7 +244,9 @@ pub fn differential(program: &Program, former: usize) -> Option<(&'static str, S
         Err(panic) => return Some(("engine-divergence", panic)),
     }
 
-    // Oracle 6: lane-packed batched sweep vs the scalar oracle.
+    // Oracle 6: the sweep engines vs their oracles — the lane-packed
+    // batched sweep vs the scalar sweep, then the ideal trie sweeps vs the
+    // map models.
     let trace = derive_trace(&replay, &tasks);
     let configs = crate::dispatch::exit_ladder();
     let packed_check = catching(|| {
@@ -253,6 +262,11 @@ pub fn differential(program: &Program, former: usize) -> Option<(&'static str, S
         Ok(Ok(())) => {}
         Ok(Err(detail)) => return Some(("lane-packed-divergence", detail)),
         Err(panic) => return Some(("lane-packed-divergence", panic)),
+    }
+    match catching(|| ideal_sweep_check(&descs, &trace.events)) {
+        Ok(None) => {}
+        Ok(Some(detail)) => return Some(("ideal-sweep-divergence", detail)),
+        Err(panic) => return Some(("ideal-sweep-divergence", panic)),
     }
 
     // Oracle 7: analyzer soundness — replay the bounds, dead-write and
@@ -280,6 +294,34 @@ pub fn differential(program: &Program, former: usize) -> Option<(&'static str, S
         Ok(Some(detail)) => Some(("masm-roundtrip", detail)),
         Err(panic) => Some(("masm-roundtrip", panic)),
     }
+}
+
+/// The depths oracle 6 sweeps the ideal predictors over: unordered,
+/// repeated, and spanning 0 through 8.
+const IDEAL_DEPTHS: [u32; 8] = [5, 0, 8, 2, 5, 1, 8, 3];
+
+/// Oracle 6's ideal half: each trie sweep against one map model per depth.
+fn ideal_sweep_check(descs: &[TaskDesc], events: &SharedTrace) -> Option<String> {
+    for scheme in Scheme::ALL {
+        let trie = ideal_sweep_on::<Leh2>(scheme, &IDEAL_DEPTHS, descs, events);
+        let maps: Vec<_> = IDEAL_DEPTHS
+            .iter()
+            .map(|&d| ideal_oracle_on::<Leh2>(scheme, d, descs, events))
+            .collect();
+        if trie != maps {
+            return Some(format!(
+                "{} trie {trie:?}\n  vs maps {maps:?}",
+                scheme.name()
+            ));
+        }
+    }
+    let depths = IDEAL_DEPTHS.map(|d| d as usize);
+    let trie = cttb_ideal_sweep_on(&depths, descs, events);
+    let maps: Vec<_> = depths
+        .iter()
+        .map(|&d| cttb_ideal_oracle_on(d, descs, events))
+        .collect();
+    (trie != maps).then(|| format!("CTTB trie {trie:?}\n  vs maps {maps:?}"))
 }
 
 /// How many mutated texts oracle 8 throws at the assembler per case.

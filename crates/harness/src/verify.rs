@@ -5,11 +5,11 @@
 //! is the user-facing version, producing a readable report rather than
 //! panics.
 
-use crate::dispatch::{measure_ideal, measure_ideal_path_automaton_sweep, Scheme};
+use crate::dispatch::{ideal_oracle_on, measure_ideal, Scheme};
 use crate::experiments;
 use crate::pool::Pool;
 use crate::prepare_all_with;
-use multiscalar_core::automata::AutomatonKind;
+use multiscalar_core::automata::{Automaton, LastExit, LastExitHysteresis, VotingCounters};
 use multiscalar_core::dolc::Dolc;
 use multiscalar_core::target::{Cttb, Ttb};
 use multiscalar_sim::measure::measure_indirect_targets;
@@ -40,12 +40,13 @@ pub fn verify(params: &WorkloadParams, pool: &Pool) -> Vec<Claim> {
 
     // §5.1 / Fig. 6: LEH-2bit beats LE and matches 3-bit VC.
     {
-        let le =
-            measure_ideal_path_automaton_sweep(AutomatonKind::LastExit, &[5], gcc)[0].miss_rate();
-        let leh2 =
-            measure_ideal_path_automaton_sweep(AutomatonKind::Leh2, &[5], gcc)[0].miss_rate();
-        let vc3 =
-            measure_ideal_path_automaton_sweep(AutomatonKind::Vc3Mru, &[5], gcc)[0].miss_rate();
+        fn path5<A: Automaton>(gcc: &crate::Bench) -> f64 {
+            let (stats, _) = ideal_oracle_on::<A>(Scheme::Path, 5, &gcc.descs, &gcc.trace.events);
+            stats.miss_rate()
+        }
+        let le = path5::<LastExit>(gcc);
+        let leh2 = path5::<LastExitHysteresis<2>>(gcc);
+        let vc3 = path5::<VotingCounters<3, true>>(gcc);
         claims.push(Claim {
             source: "§5.1 / Fig. 6",
             statement: "LEH-2bit offers the best accuracy/size trade-off",

@@ -7,7 +7,9 @@
 //! a wrong path.
 
 use crate::trace::{kind_slot, SharedTrace};
+use multiscalar_core::automata::Automaton;
 use multiscalar_core::dolc::PathRegister;
+use multiscalar_core::ideal::{IdealCttbSweep, IdealSweep};
 use multiscalar_core::lane::{BatchedExitPredictor, LaneAutomaton};
 use multiscalar_core::predictor::{
     CttbOnlyPredictor, ExitInfo, ExitPredictor, TaskDesc, TaskPredictor,
@@ -136,9 +138,7 @@ pub fn measure_exits_fused<P: ExitPredictor>(
     for e in events.iter() {
         let desc = &descs[e.task.index()];
         for (p, s) in predictors.iter_mut().zip(stats.iter_mut()) {
-            let predicted = p.predict(desc);
-            s.record(predicted != e.exit);
-            p.update(desc, e.exit);
+            s.record(p.predict_update(desc, e.exit) != e.exit);
         }
     }
     stats
@@ -174,6 +174,84 @@ pub fn measure_exits_batched<A: LaneAutomaton>(
         .enumerate()
         .map(|(k, s)| (s, batch.states_touched(k)))
         .collect()
+}
+
+/// Measures an ideal depth sweep in one trace walk of its history trie:
+/// per-depth miss stats and states, in the sweep's depth order.
+/// Bit-identical to one [`measure_exits`] per depth on the matching map
+/// model (`multiscalar_core::ideal::IdealGlobal` and its siblings).
+pub fn measure_exits_trie<A: Automaton>(
+    sweep: &mut IdealSweep<A>,
+    descs: &[TaskDesc],
+    events: &SharedTrace,
+) -> Vec<(MissStats, usize)> {
+    let mut tally = DepthTally::default();
+    for e in events.iter() {
+        tally.record(sweep.step(&descs[e.task.index()], e.exit));
+    }
+    sweep
+        .depths()
+        .iter()
+        .map(|&d| (tally.stats(d as usize), sweep.states(d)))
+        .collect()
+}
+
+/// The ideal-CTTB counterpart of [`measure_exits_trie`]: one walk of the
+/// indirect-exit stream for every depth, bit-identical to one
+/// [`measure_indirect_targets`] per depth on [`IdealCttb`].
+pub fn measure_indirect_targets_trie(
+    sweep: &mut IdealCttbSweep,
+    descs: &[TaskDesc],
+    events: &SharedTrace,
+) -> Vec<(MissStats, usize)> {
+    let mut tally = DepthTally::default();
+    for e in events.iter() {
+        let indirect = e.kind.needs_target_buffer();
+        let miss = sweep.step(descs[e.task.index()].entry(), indirect.then_some(e.next));
+        if indirect {
+            tally.record(miss);
+        }
+    }
+    sweep
+        .depths()
+        .iter()
+        .map(|&d| (tally.stats(d), sweep.states(d)))
+        .collect()
+}
+
+/// Per-depth miss counts of a trie sweep. Every depth predicts on every
+/// measured event, so one prediction count serves them all.
+struct DepthTally {
+    predictions: u64,
+    misses: [u64; 64],
+}
+
+impl Default for DepthTally {
+    fn default() -> Self {
+        DepthTally {
+            predictions: 0,
+            misses: [0; 64],
+        }
+    }
+}
+
+impl DepthTally {
+    /// One measured event; bit `d` of `miss` is a miss at depth `d`.
+    #[inline]
+    fn record(&mut self, mut miss: u64) {
+        self.predictions += 1;
+        while miss != 0 {
+            self.misses[miss.trailing_zeros() as usize] += 1;
+            miss &= miss - 1;
+        }
+    }
+
+    fn stats(&self, depth: usize) -> MissStats {
+        MissStats {
+            predictions: self.predictions,
+            misses: self.misses[depth],
+        }
+    }
 }
 
 /// Measures the full composite predictor: exit + RAS + header + CTTB
