@@ -15,105 +15,77 @@
 //! index folded into 14 bits → a 16K-entry table, exactly the example in
 //! the paper.
 //!
-//! Two heuristics drive the design (both reproduced here and ablated in the
-//! benches): low-order address bits carry the most information, and more
-//! recent tasks deserve more bits than older ones.
+//! Two heuristics drive the design (both reproduced here and ablated in
+//! `tests/paper_claims.rs`): low-order address bits carry the most
+//! information, and more recent tasks deserve more bits than older ones.
 
 use multiscalar_isa::Addr;
-use std::collections::VecDeque;
 use std::fmt;
 
-/// A shift register of the most recent task addresses, oldest first.
+/// A shift register of the most recent task addresses, most recent first.
 ///
-/// Both the path-based exit predictor and the correlated task target buffer
-/// maintain one; pushing the current task's entry address advances the path
-/// by one step.
+/// Every path-indexed structure reads one: the path-based exit predictor,
+/// the correlated task target buffer and the lane-packed sweep engine.
+/// Pushing the current task's entry address advances the path by one step.
+/// [`Dolc::index`] reads the first `D` addresses, so one register sized to
+/// the deepest configuration serves every shallower one as well.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PathRegister {
-    addrs: VecDeque<u32>,
-    capacity: usize,
+    /// `window[0]` is the last task; entries at or past `len` are unused.
+    window: Vec<u32>,
+    len: usize,
 }
 
 impl PathRegister {
     /// Creates a register holding up to `depth` addresses.
     pub fn new(depth: usize) -> PathRegister {
         PathRegister {
-            addrs: VecDeque::with_capacity(depth + 1),
-            capacity: depth,
+            window: vec![0; depth],
+            len: 0,
         }
     }
 
     /// Shifts in the newest task address, discarding the oldest when full.
+    #[inline]
     pub fn push(&mut self, addr: Addr) {
-        if self.capacity == 0 {
+        let d = self.window.len();
+        if d == 0 {
             return;
         }
-        if self.addrs.len() == self.capacity {
-            self.addrs.pop_front();
+        self.window.copy_within(0..d - 1, 1);
+        self.window[0] = addr.0;
+        if self.len < d {
+            self.len += 1;
         }
-        self.addrs.push_back(addr.0);
-    }
-
-    /// Addresses oldest→newest; shorter than `depth` until warmed up.
-    pub fn addrs(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.addrs.iter().map(|&a| Addr(a))
     }
 
     /// The `i`-th most recent address (0 = last task), if present.
+    #[inline]
     pub fn recent(&self, i: usize) -> Option<Addr> {
-        let n = self.addrs.len();
-        (i < n).then(|| Addr(self.addrs[n - 1 - i]))
+        (i < self.len).then(|| Addr(self.window[i]))
     }
 
-    /// Number of addresses currently held.
-    pub fn len(&self) -> usize {
-        self.addrs.len()
-    }
-
-    /// `true` until the first push (or always, for depth 0).
-    pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
-    }
-
-    /// Maximum number of addresses held.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The exact path as a boxed slice (oldest→newest).
-    pub fn snapshot(&self) -> Box<[u32]> {
-        self.addrs.iter().copied().collect()
-    }
-
-    /// The exact path as a fixed-size `Copy` key (oldest→newest) — the key
-    /// used by ideal, alias-free predictors. Unlike [`snapshot`], building
-    /// one never touches the heap, so it can sit on the per-event hot path.
-    ///
-    /// [`snapshot`]: Self::snapshot
+    /// The exact path of the `depth` most recent addresses (fewer while
+    /// the register warms up) as a fixed-size `Copy` key — the key used by
+    /// ideal, alias-free predictors. Building one never touches the heap,
+    /// so it can sit on the per-event hot path.
     ///
     /// # Panics
     ///
-    /// Panics when the register holds more than [`MAX_PATH_KEY_DEPTH`]
+    /// Panics when the key would hold more than [`MAX_PATH_KEY_DEPTH`]
     /// addresses.
-    pub fn key(&self) -> PathKey {
-        let n = self.addrs.len();
+    pub fn key(&self, depth: usize) -> PathKey {
+        let n = depth.min(self.len);
         assert!(
             n <= MAX_PATH_KEY_DEPTH,
             "path too deep for a fixed key: {n}"
         );
         let mut addrs = [0u32; MAX_PATH_KEY_DEPTH];
-        for (slot, &a) in addrs.iter_mut().zip(self.addrs.iter()) {
-            *slot = a;
-        }
+        addrs[..n].copy_from_slice(&self.window[..n]);
         PathKey {
             len: n as u8,
             addrs,
         }
-    }
-
-    /// Clears the register.
-    pub fn clear(&mut self) {
-        self.addrs.clear();
     }
 }
 
@@ -122,9 +94,9 @@ impl PathRegister {
 pub const MAX_PATH_KEY_DEPTH: usize = 8;
 
 /// A fixed-size, `Copy` image of a [`PathRegister`]'s exact contents
-/// (oldest→newest, `len` valid entries). Two keys compare equal exactly when
-/// the underlying paths are identical, so ideal predictors stay alias-free
-/// while their per-event key construction stays off the heap.
+/// (most recent first, `len` valid entries). Two keys compare equal exactly
+/// when the underlying paths are identical, so ideal predictors stay
+/// alias-free while their per-event key construction stays off the heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PathKey {
     len: u8,
@@ -253,34 +225,11 @@ impl Dolc {
     /// Layout (low to high): current task's `C` bits, last task's `L` bits,
     /// then `O` bits from each older task, oldest highest — so corresponding
     /// bits of different tasks do not line up under folding, preserving the
-    /// low-order information (paper §6.1, heuristic 1).
+    /// low-order information (paper §6.1, heuristic 1). Addresses the
+    /// register has not yet seen read as 0, and a register deeper than `D`
+    /// contributes only its `D` most recent addresses.
     pub fn index(&self, path: &PathRegister, current: Addr) -> usize {
-        let mut inter: u128 = (current.0 & mask32(self.current_bits as u32)) as u128;
-        let mut shift = self.current_bits as u32;
-        if self.depth > 0 {
-            let last = path.recent(0).map_or(0, |a| a.0);
-            inter |= ((last & mask32(self.last_bits as u32)) as u128) << shift;
-            shift += self.last_bits as u32;
-            for i in 1..self.depth as usize {
-                let older = path.recent(i).map_or(0, |a| a.0);
-                inter |= ((older & mask32(self.older_bits as u32)) as u128) << shift;
-                shift += self.older_bits as u32;
-            }
-        }
-        debug_assert_eq!(shift, self.intermediate_bits());
-        self.fold(inter)
-    }
-
-    /// Exactly [`Dolc::index`], reading the path from a most-recent-first
-    /// window slice instead of a [`PathRegister`]: `window[0]` is the last
-    /// task's address, `window[1]` the one before it, and positions at or
-    /// past `len` read as absent (0) — the same warm-up behaviour as a
-    /// register that has seen the same push stream. A single shared window
-    /// (sized to the deepest configuration) can therefore serve many
-    /// configurations at once, which is what the lane-packed batched sweep
-    /// engine does.
-    pub fn index_window(&self, window: &[u32], len: usize, current: Addr) -> usize {
-        let at = |i: usize| if i < len { window[i] } else { 0 };
+        let at = |i: usize| path.recent(i).map_or(0, |a| a.0);
         let mut inter: u128 = (current.0 & mask32(self.current_bits as u32)) as u128;
         let mut shift = self.current_bits as u32;
         if self.depth > 0 {
@@ -321,7 +270,7 @@ impl fmt::Display for Dolc {
 }
 
 #[inline]
-fn mask32(bits: u32) -> u32 {
+pub(crate) fn mask32(bits: u32) -> u32 {
     if bits >= 32 {
         u32::MAX
     } else {
@@ -389,24 +338,34 @@ mod tests {
     #[test]
     fn path_register_is_a_shift_register() {
         let mut p = PathRegister::new(3);
-        assert!(p.is_empty());
+        assert_eq!(p.recent(0), None);
         for a in 1..=5u32 {
             p.push(Addr(a));
         }
-        assert_eq!(p.len(), 3);
-        let v: Vec<u32> = p.addrs().map(|a| a.0).collect();
-        assert_eq!(v, vec![3, 4, 5], "keeps the newest 3");
-        assert_eq!(p.recent(0), Some(Addr(5)));
+        assert_eq!(p.recent(0), Some(Addr(5)), "keeps the newest 3");
         assert_eq!(p.recent(2), Some(Addr(3)));
         assert_eq!(p.recent(3), None);
-        assert_eq!(p.capacity(), 3);
     }
 
     #[test]
     fn depth_zero_register_stays_empty() {
         let mut p = PathRegister::new(0);
         p.push(Addr(1));
-        assert!(p.is_empty());
+        assert_eq!(p.recent(0), None);
+        assert_eq!(p.key(8), PathRegister::new(0).key(8));
+    }
+
+    #[test]
+    fn key_is_the_exact_recent_path() {
+        let mut p = PathRegister::new(4);
+        let mut q = PathRegister::new(2);
+        for a in [7, 9, 11] {
+            p.push(Addr(a));
+            q.push(Addr(a));
+        }
+        assert_eq!(p.key(2), q.key(2), "a prefix of a deeper register");
+        assert_eq!(p.key(8), p.key(3), "capped at the addresses seen");
+        assert_ne!(p.key(3), q.key(3));
     }
 
     #[test]
@@ -419,57 +378,6 @@ mod tests {
             let flipped = d.fold(1u128 << bit);
             assert_ne!(flipped, base, "bit {bit} lost by folding");
         }
-    }
-
-    #[test]
-    fn index_window_matches_index_through_warmup() {
-        // A shared most-recent-first window must reproduce index() exactly,
-        // including the cold-start phase where the register is shorter than
-        // its depth — and even when the window is deeper than the config.
-        let configs = [
-            Dolc::new(0, 0, 0, 14, 1),
-            Dolc::new(1, 0, 7, 7, 1),
-            Dolc::new(3, 6, 8, 8, 2),
-            Dolc::new(6, 5, 8, 9, 3),
-        ];
-        let max_depth = configs.iter().map(|d| d.depth()).max().unwrap();
-        let mut window = vec![0u32; max_depth];
-        let mut len = 0usize;
-        let mut regs: Vec<PathRegister> = configs
-            .iter()
-            .map(|d| PathRegister::new(d.depth()))
-            .collect();
-        for a in 0..64u32 {
-            let cur = Addr(a.wrapping_mul(2654435761));
-            for (d, reg) in configs.iter().zip(&regs) {
-                assert_eq!(
-                    d.index_window(&window, len, cur),
-                    d.index(reg, cur),
-                    "{d} step {a}"
-                );
-            }
-            let pushed = Addr(a.wrapping_mul(40503) ^ 0x40);
-            for i in (1..max_depth).rev() {
-                window[i] = window[i - 1];
-            }
-            if max_depth > 0 {
-                window[0] = pushed.0;
-            }
-            len = (len + 1).min(max_depth);
-            for reg in &mut regs {
-                reg.push(pushed);
-            }
-        }
-    }
-
-    #[test]
-    fn snapshot_matches_contents() {
-        let mut p = PathRegister::new(2);
-        p.push(Addr(7));
-        p.push(Addr(9));
-        assert_eq!(&*p.snapshot(), &[7, 9]);
-        p.clear();
-        assert!(p.is_empty());
     }
 
     #[test]

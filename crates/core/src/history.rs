@@ -13,10 +13,10 @@
 //!   indexed through a [`Dolc`] configuration. The paper's winner.
 
 use crate::automata::Automaton;
-use crate::dolc::{Dolc, PathRegister};
-use crate::predictor::{ExitPredictor, TaskDesc};
+use crate::dolc::{mask32, Dolc, PathRegister};
+use crate::predictor::{ExitPredictor, TaskDesc, EXIT0};
 use crate::rng::XorShift64;
-use multiscalar_isa::ExitIndex;
+use multiscalar_isa::{Addr, ExitIndex};
 
 /// How a predictor treats single-exit tasks (paper §6.1): "a single exit is
 /// always predicted and no updates are made to the history table".
@@ -29,24 +29,16 @@ pub enum SingleExitMode {
     /// This is the paper's optimization and the default.
     #[default]
     SkipPht,
-    /// Additionally skip the history-register update, so only multi-exit
-    /// tasks form the path (an ablation variant).
-    SkipAll,
 }
 
 /// Marks a PHT slot as touched, returning 1 if newly touched.
 #[inline]
-fn touch(touched: &mut [u64], idx: usize) -> usize {
+pub(crate) fn touch(touched: &mut [u64], idx: usize) -> usize {
     let (w, b) = (idx / 64, idx % 64);
     let newly = (touched[w] >> b) & 1 == 0;
     touched[w] |= 1 << b;
     newly as usize
 }
-
-const EXIT0: ExitIndex = match ExitIndex::new(0) {
-    Some(e) => e,
-    None => unreachable!(),
-};
 
 // ---------------------------------------------------------------------------
 // PATH
@@ -103,31 +95,41 @@ impl<A: Automaton> PathPredictor<A> {
         self.pht.len()
     }
 
-    fn skip(&self, task: &TaskDesc) -> bool {
-        self.mode != SingleExitMode::Off && task.single_exit()
+    /// The PHT slot `task` reads along the current path, or `None` for a
+    /// single-exit task the PHT skips.
+    #[inline]
+    pub(crate) fn slot(&self, task: &TaskDesc) -> Option<usize> {
+        let skip = self.mode != SingleExitMode::Off && task.single_exit();
+        (!skip).then(|| self.dolc.index(&self.path, task.entry()))
+    }
+
+    /// Trains PHT slot `slot` with the exit actually taken.
+    #[inline]
+    pub(crate) fn train(&mut self, slot: usize, actual: ExitIndex) {
+        self.pht[slot].update(actual);
+        self.touched_count += touch(&mut self.touched, slot);
+    }
+
+    /// Shifts `entry` into the path register.
+    #[inline]
+    pub(crate) fn push_path(&mut self, entry: Addr) {
+        self.path.push(entry);
     }
 }
 
 impl<A: Automaton> ExitPredictor for PathPredictor<A> {
     fn predict(&mut self, task: &TaskDesc) -> ExitIndex {
-        if self.skip(task) {
-            return EXIT0;
+        match self.slot(task) {
+            Some(slot) => self.pht[slot].predict(&mut self.tie),
+            None => EXIT0,
         }
-        let idx = self.dolc.index(&self.path, task.entry());
-        self.pht[idx].predict(&mut self.tie)
     }
 
     fn update(&mut self, task: &TaskDesc, actual: ExitIndex) {
-        if self.skip(task) {
-            if self.mode != SingleExitMode::SkipAll {
-                self.path.push(task.entry());
-            }
-            return;
+        if let Some(slot) = self.slot(task) {
+            self.train(slot, actual);
         }
-        let idx = self.dolc.index(&self.path, task.entry());
-        self.pht[idx].update(actual);
-        self.touched_count += touch(&mut self.touched, idx);
-        self.path.push(task.entry());
+        self.push_path(task.entry());
     }
 
     fn states_touched(&self) -> usize {
@@ -303,15 +305,6 @@ impl<A: Automaton> ExitPredictor for PerTaskPredictor<A> {
 // ---------------------------------------------------------------------------
 
 #[inline]
-fn mask32(bits: u32) -> u32 {
-    if bits >= 32 {
-        u32::MAX
-    } else {
-        (1u32 << bits) - 1
-    }
-}
-
-#[inline]
 pub(crate) fn mask64(bits: u32) -> u64 {
     if bits >= 64 {
         u64::MAX
@@ -322,7 +315,7 @@ pub(crate) fn mask64(bits: u32) -> u64 {
 
 /// XOR-folds `value` (of `total_bits`) into `out_bits`.
 #[inline]
-fn fold(value: u128, total_bits: u32, out_bits: u32) -> usize {
+pub(crate) fn fold(value: u128, total_bits: u32, out_bits: u32) -> usize {
     let m = (1u128 << out_bits) - 1;
     let mut acc = 0u128;
     let mut v = value;

@@ -23,14 +23,9 @@ use crate::automata::Automaton;
 use crate::dolc::{PathKey, PathRegister, MAX_PATH_KEY_DEPTH};
 use crate::fxhash::FxHashMap;
 use crate::history::{mask64, SingleExitMode};
-use crate::predictor::{ExitPredictor, TaskDesc};
+use crate::predictor::{ExitPredictor, TaskDesc, EXIT0};
 use crate::rng::XorShift64;
 use multiscalar_isa::ExitIndex;
-
-const EXIT0: ExitIndex = match ExitIndex::new(0) {
-    Some(e) => e,
-    None => unreachable!(),
-};
 
 /// Predicts with `a`, then trains it with the actual exit: one event on
 /// one automaton, whether it sits in a map or in a trie node.
@@ -188,6 +183,7 @@ impl<A: Automaton> ExitPredictor for IdealPer<A> {
 /// aliasing.
 #[derive(Debug, Clone)]
 pub struct IdealPath<A: Automaton> {
+    depth: usize,
     path: PathRegister,
     map: FxHashMap<(u32, PathKey), A>,
     tie: XorShift64,
@@ -213,6 +209,7 @@ impl<A: Automaton> IdealPath<A> {
             "ideal PATH depth {depth} too deep"
         );
         IdealPath {
+            depth: depth as usize,
             path: PathRegister::new(depth as usize),
             map: FxHashMap::default(),
             tie: XorShift64::default(),
@@ -236,7 +233,7 @@ impl<A: Automaton> ExitPredictor for IdealPath<A> {
         if self.skip(task) {
             return EXIT0;
         }
-        let key = (task.entry().0, self.path.key());
+        let key = (task.entry().0, self.path.key(self.depth));
         match self.map.get(&key) {
             Some(a) => a.predict(&mut self.tie),
             None => A::default().predict(&mut self.tie),
@@ -245,12 +242,10 @@ impl<A: Automaton> ExitPredictor for IdealPath<A> {
 
     fn update(&mut self, task: &TaskDesc, actual: ExitIndex) {
         if self.skip(task) {
-            if self.mode != SingleExitMode::SkipAll {
-                self.path.push(task.entry());
-            }
+            self.path.push(task.entry());
             return;
         }
-        let key = (task.entry().0, self.path.key());
+        let key = (task.entry().0, self.path.key(self.depth));
         self.map.entry(key).or_default().update(actual);
         self.path.push(task.entry());
     }
@@ -260,7 +255,7 @@ impl<A: Automaton> ExitPredictor for IdealPath<A> {
             self.update(task, actual);
             return EXIT0;
         }
-        let key = (task.entry().0, self.path.key());
+        let key = (task.entry().0, self.path.key(self.depth));
         let predicted = train(self.map.entry(key).or_default(), &mut self.tie, actual);
         self.path.push(task.entry());
         predicted

@@ -17,11 +17,11 @@
 //! are 2-bit, so their children are a dense `[u32; 4]` row; task symbols
 //! go through one hash map keyed by (parent, symbol).
 
-use super::{train, EXIT0};
+use super::train;
 use crate::automata::Automaton;
 use crate::dolc::MAX_PATH_KEY_DEPTH;
 use crate::fxhash::FxHashMap;
-use crate::predictor::TaskDesc;
+use crate::predictor::{TaskDesc, EXIT0};
 use crate::rng::XorShift64;
 use crate::target::TargetEntry;
 use multiscalar_isa::{Addr, ExitIndex};

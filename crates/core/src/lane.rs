@@ -20,11 +20,11 @@
 //!   lane `k`, so reading its table entry is a masked load and writing it
 //!   back is a masked read-modify-write, even when the lanes index
 //!   different table entries;
-//! * **the path window is shared** — every predictor in a fused sweep
-//!   observes the same task stream, so one most-recent-first window (sized
-//!   to the deepest configuration) replaces per-predictor
-//!   [`crate::dolc::PathRegister`]s bit-exactly
-//!   ([`crate::dolc::Dolc::index_window`]).
+//! * **the path register is shared** — every predictor in a fused sweep
+//!   observes the same task stream, so one [`PathRegister`] sized to the
+//!   deepest configuration serves every lane: [`Dolc::index`] reads only
+//!   the first `D` addresses of it, exactly what a register of each lane's
+//!   own depth would hold.
 //!
 //! # Bit-identity contract
 //!
@@ -41,7 +41,7 @@
 //! consumes a per-predictor RNG stream, needs no packed form.
 
 use crate::automata::{Automaton, LastExitHysteresis};
-use crate::dolc::Dolc;
+use crate::dolc::{Dolc, PathRegister};
 use crate::predictor::TaskDesc;
 use multiscalar_isa::ExitIndex;
 use std::marker::PhantomData;
@@ -216,9 +216,8 @@ impl<A: LaneAutomaton> LanePacked<A> {
 pub struct BatchedExitPredictor<A: LaneAutomaton> {
     dolcs: Vec<Dolc>,
     pht: LanePacked<A>,
-    /// Shared path window, most recent first; `window_len` entries valid.
-    window: Vec<u32>,
-    window_len: usize,
+    /// One path register for every lane, as deep as the deepest one.
+    path: PathRegister,
     /// One touched-entry bitmap of `words_per_lane` words per lane.
     touched: Vec<u64>,
     touched_counts: Vec<usize>,
@@ -229,7 +228,8 @@ impl<A: LaneAutomaton> BatchedExitPredictor<A> {
     /// Builds a batch over `configs`, one lane per configuration, or `None`
     /// when the batch shape does not fit: no configurations, or more than
     /// [`LaneAutomaton::LANES`] of them. Configurations may differ in depth
-    /// and index width; the table and window are sized to the largest.
+    /// and index width; the table and path register are sized to the
+    /// largest.
     pub fn new(configs: &[Dolc]) -> Option<BatchedExitPredictor<A>> {
         if configs.is_empty() || configs.len() > A::LANES {
             return None;
@@ -240,8 +240,7 @@ impl<A: LaneAutomaton> BatchedExitPredictor<A> {
         Some(BatchedExitPredictor {
             dolcs: configs.to_vec(),
             pht: LanePacked::new(entries),
-            window: vec![0; max_depth],
-            window_len: 0,
+            path: PathRegister::new(max_depth),
             touched: vec![0; configs.len() * words_per_lane],
             touched_counts: vec![0; configs.len()],
             words_per_lane,
@@ -268,7 +267,7 @@ impl<A: LaneAutomaton> BatchedExitPredictor<A> {
         }
         let mut idxs = [0usize; MAX_FUSED_LANES];
         for (k, d) in self.dolcs.iter().enumerate() {
-            idxs[k] = d.index_window(&self.window, self.window_len, task.entry());
+            idxs[k] = d.index(&self.path, task.entry());
         }
         A::lanes_predict(self.pht.gather(&idxs[..self.dolcs.len()]))
     }
@@ -282,7 +281,7 @@ impl<A: LaneAutomaton> BatchedExitPredictor<A> {
         if task.single_exit() {
             // SkipPht: predict exit 0 without consulting the table, train
             // nothing, keep the path moving.
-            self.push(entry.0);
+            self.path.push(entry);
             return if actual.index() == 0 {
                 0
             } else {
@@ -292,7 +291,7 @@ impl<A: LaneAutomaton> BatchedExitPredictor<A> {
         let n = self.dolcs.len();
         let mut idxs = [0usize; MAX_FUSED_LANES];
         for (k, d) in self.dolcs.iter().enumerate() {
-            idxs[k] = d.index_window(&self.window, self.window_len, entry);
+            idxs[k] = d.index(&self.path, entry);
         }
         let word = self.pht.gather(&idxs[..n]);
         let miss = Self::miss_mask(A::lanes_predict(word), actual.as_u8(), n);
@@ -306,7 +305,7 @@ impl<A: LaneAutomaton> BatchedExitPredictor<A> {
                 self.touched_counts[k] += 1;
             }
         }
-        self.push(entry.0);
+        self.path.push(entry);
         miss
     }
 
@@ -326,20 +325,6 @@ impl<A: LaneAutomaton> BatchedExitPredictor<A> {
             miss |= (((neq >> (k as u32 * A::LANE_BITS)) & 1) as u32) << k;
         }
         miss
-    }
-
-    /// Shifts the newest task address into the shared window.
-    #[inline]
-    fn push(&mut self, addr: u32) {
-        let d = self.window.len();
-        if d == 0 {
-            return;
-        }
-        self.window.copy_within(0..d - 1, 1);
-        self.window[0] = addr;
-        if self.window_len < d {
-            self.window_len += 1;
-        }
     }
 }
 

@@ -20,29 +20,20 @@
 //! Measured by the harness's `ext-pollution` experiment.
 
 use crate::automata::Automaton;
-use crate::dolc::{Dolc, PathRegister};
-use crate::history::SingleExitMode;
+use crate::dolc::Dolc;
+use crate::history::PathPredictor;
 use crate::predictor::{ExitPredictor, TaskDesc};
-use crate::rng::XorShift64;
 use multiscalar_isa::{Addr, ExitIndex};
 
-const EXIT0: ExitIndex = match ExitIndex::new(0) {
-    Some(e) => e,
-    None => unreachable!(),
-};
-
-/// A path-based exit predictor with explicit wrong-path modelling.
+/// A path-based exit predictor with explicit wrong-path modelling: a
+/// [`PathPredictor`] whose path register also sees wrong-path tasks.
 ///
 /// `update_resolved` must be told the predicted and actual exits plus the
 /// *addresses* control was predicted to reach, so the wrong-path excursion
 /// can be replayed into the path register.
 #[derive(Debug, Clone)]
 pub struct PollutedPathPredictor<A: Automaton> {
-    dolc: Dolc,
-    path: PathRegister,
-    pht: Vec<A>,
-    tie: XorShift64,
-    mode: SingleExitMode,
+    inner: PathPredictor<A>,
     /// Wrong-path tasks the sequencer runs ahead by before the squash.
     wrongpath_depth: usize,
     /// Whether recovery repairs the path register (the paper's assumption).
@@ -55,28 +46,16 @@ impl<A: Automaton> PollutedPathPredictor<A> {
     /// path on each misprediction, with or without register `repair`.
     pub fn new(dolc: Dolc, wrongpath_depth: usize, repair: bool) -> Self {
         PollutedPathPredictor {
-            dolc,
-            path: PathRegister::new(dolc.depth()),
-            pht: vec![A::default(); dolc.table_entries()],
-            tie: XorShift64::default(),
-            mode: SingleExitMode::default(),
+            inner: PathPredictor::new(dolc),
             wrongpath_depth,
             repair,
             pollutions: 0,
         }
     }
 
-    fn skip(&self, task: &TaskDesc) -> bool {
-        self.mode != SingleExitMode::Off && task.single_exit()
-    }
-
     /// Predicts the exit of `task` from the (possibly polluted) path.
     pub fn predict(&mut self, task: &TaskDesc) -> ExitIndex {
-        if self.skip(task) {
-            return EXIT0;
-        }
-        let idx = self.dolc.index(&self.path, task.entry());
-        self.pht[idx].predict(&mut self.tie)
+        self.inner.predict(task)
     }
 
     /// Resolves a prediction. `predicted_target` is where the sequencer
@@ -91,27 +70,23 @@ impl<A: Automaton> PollutedPathPredictor<A> {
         actual_target: Addr,
     ) {
         // Non-speculative automaton training, as in §4.1.
-        if !self.skip(task) {
-            let idx = self.dolc.index(&self.path, task.entry());
-            self.pht[idx].update(actual);
-        }
-        self.path.push(task.entry());
+        self.inner.update(task, actual);
 
         let mispredicted = predicted != actual || predicted_target != Some(actual_target);
         if mispredicted && self.wrongpath_depth > 0 {
+            self.pollutions += 1;
             // Speculative wrong-path excursion: the sequencer pushes the
             // predicted target and synthetic successors into the register.
-            let saved = self.path.clone();
-            let mut wrong = predicted_target.unwrap_or(actual_target);
-            for _ in 0..self.wrongpath_depth {
-                self.path.push(wrong);
-                // A crude wrong-path walk: stride to a nearby address, as
-                // the sequencer would follow stale header targets.
-                wrong = Addr(wrong.0.wrapping_add(3));
-            }
-            self.pollutions += 1;
-            if self.repair {
-                self.path = saved;
+            // A repaired register is restored to its pre-excursion contents,
+            // so only an unrepaired one keeps the pushes.
+            if !self.repair {
+                let mut wrong = predicted_target.unwrap_or(actual_target);
+                for _ in 0..self.wrongpath_depth {
+                    self.inner.push_path(wrong);
+                    // A crude wrong-path walk: stride to a nearby address,
+                    // as the sequencer would follow stale header targets.
+                    wrong = Addr(wrong.0.wrapping_add(3));
+                }
             }
         }
     }
@@ -176,6 +151,7 @@ mod tests {
     use super::*;
     use crate::automata::LastExitHysteresis;
     use crate::predictor::ExitInfo;
+    use crate::rng::XorShift64;
     use multiscalar_isa::ExitKind;
 
     type Leh2 = LastExitHysteresis<2>;

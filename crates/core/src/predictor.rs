@@ -8,6 +8,12 @@ use crate::history::PathPredictor;
 use crate::target::{Cttb, ReturnAddressStack};
 use multiscalar_isa::{Addr, ExitIndex, ExitKind};
 
+/// Exit 0: what every predictor answers for a single-exit task.
+pub(crate) const EXIT0: ExitIndex = match ExitIndex::new(0) {
+    Some(e) => e,
+    None => unreachable!(),
+};
+
 /// One exit of a task as the sequencer sees it — the header fields relevant
 /// to prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

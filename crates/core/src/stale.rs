@@ -20,28 +20,18 @@
 //! delays — see EXPERIMENTS.md.
 
 use crate::automata::Automaton;
-use crate::dolc::{Dolc, PathRegister};
-use crate::history::SingleExitMode;
+use crate::dolc::Dolc;
+use crate::history::PathPredictor;
 use crate::predictor::{ExitPredictor, TaskDesc};
-use crate::rng::XorShift64;
 use multiscalar_isa::ExitIndex;
 use std::collections::VecDeque;
 
-const EXIT0: ExitIndex = match ExitIndex::new(0) {
-    Some(e) => e,
-    None => unreachable!(),
-};
-
 /// A path-based exit predictor whose PHT updates are applied `delay` task
 /// predictions late. With `delay == 0` it behaves exactly like
-/// [`crate::history::PathPredictor`].
+/// [`PathPredictor`], which it wraps.
 #[derive(Debug, Clone)]
 pub struct StalePathPredictor<A: Automaton> {
-    dolc: Dolc,
-    path: PathRegister,
-    pht: Vec<A>,
-    tie: XorShift64,
-    mode: SingleExitMode,
+    inner: PathPredictor<A>,
     delay: usize,
     pending: VecDeque<(usize, ExitIndex)>,
 }
@@ -50,11 +40,7 @@ impl<A: Automaton> StalePathPredictor<A> {
     /// Creates a predictor whose training lags by `delay` task predictions.
     pub fn new(dolc: Dolc, delay: usize) -> StalePathPredictor<A> {
         StalePathPredictor {
-            dolc,
-            path: PathRegister::new(dolc.depth()),
-            pht: vec![A::default(); dolc.table_entries()],
-            tie: XorShift64::default(),
-            mode: SingleExitMode::default(),
+            inner: PathPredictor::new(dolc),
             delay,
             pending: VecDeque::new(),
         }
@@ -64,35 +50,22 @@ impl<A: Automaton> StalePathPredictor<A> {
     pub fn delay(&self) -> usize {
         self.delay
     }
-
-    fn skip(&self, task: &TaskDesc) -> bool {
-        self.mode != SingleExitMode::Off && task.single_exit()
-    }
-
-    fn drain(&mut self, keep: usize) {
-        while self.pending.len() > keep {
-            let (idx, actual) = self.pending.pop_front().expect("non-empty");
-            self.pht[idx].update(actual);
-        }
-    }
 }
 
 impl<A: Automaton> ExitPredictor for StalePathPredictor<A> {
     fn predict(&mut self, task: &TaskDesc) -> ExitIndex {
-        if self.skip(task) {
-            return EXIT0;
-        }
-        let idx = self.dolc.index(&self.path, task.entry());
-        self.pht[idx].predict(&mut self.tie)
+        self.inner.predict(task)
     }
 
     fn update(&mut self, task: &TaskDesc, actual: ExitIndex) {
-        if !self.skip(task) {
-            let idx = self.dolc.index(&self.path, task.entry());
-            self.pending.push_back((idx, actual));
-            self.drain(self.delay);
+        if let Some(slot) = self.inner.slot(task) {
+            self.pending.push_back((slot, actual));
+            while self.pending.len() > self.delay {
+                let (slot, actual) = self.pending.pop_front().expect("non-empty");
+                self.inner.train(slot, actual);
+            }
         }
-        self.path.push(task.entry());
+        self.inner.push_path(task.entry());
     }
 
     fn states_touched(&self) -> usize {
@@ -104,8 +77,9 @@ impl<A: Automaton> ExitPredictor for StalePathPredictor<A> {
 mod tests {
     use super::*;
     use crate::automata::LastExitHysteresis;
-    use crate::history::PathPredictor;
+    use crate::pollution::{PollutedExitAdapter, PollutedPathPredictor};
     use crate::predictor::ExitInfo;
+    use crate::rng::XorShift64;
     use multiscalar_isa::{Addr, ExitKind};
 
     type Leh2 = LastExitHysteresis<2>;
@@ -126,25 +100,39 @@ mod tests {
     }
 
     /// Drives both predictors over the same pseudo-random stream and
-    /// returns their miss counts.
+    /// returns their miss counts; at delay 0 they must agree on every
+    /// prediction. Alongside them, a polluted predictor that never leaves
+    /// the right path (wrong-path depth 0) must miss exactly where the
+    /// immediate predictor does.
     fn race(delay: usize, steps: usize) -> (u64, u64) {
         let d = Dolc::new(3, 4, 6, 6, 2);
         let mut fresh: PathPredictor<Leh2> = PathPredictor::new(d);
         let mut stale: StalePathPredictor<Leh2> = StalePathPredictor::new(d, delay);
+        let mut polluted: PollutedExitAdapter<Leh2> =
+            PollutedExitAdapter::new(PollutedPathPredictor::new(d, 0, false));
         let mut rng = XorShift64::new(42);
         let (mut fm, mut sm) = (0, 0);
-        for _ in 0..steps {
-            let t = task(0x10 + rng.next_below(8) * 0x8, 2);
-            let actual = e((t.entry().0 >> 3 & 1) as u8); // entry-determined
-            if fresh.predict(&t) != actual {
-                fm += 1;
+        let mut prev = 0;
+        for step in 0..steps {
+            // Every fourth task has one exit, so the skip rule is raced too;
+            // a multi-exit task's exit follows its predecessor's address,
+            // so only a correctly kept path predicts it.
+            let t = task(0x10 + rng.next_below(8) * 0x8, 1 + (step % 4 != 0) as usize);
+            let actual = e((prev >> 3 & 1) as u8 * (t.num_exits() as u8 - 1));
+            prev = t.entry().0;
+            let predicted = fresh.predict(&t);
+            fm += (predicted != actual) as u64;
+            let stale_predicted = stale.predict(&t);
+            sm += (stale_predicted != actual) as u64;
+            if delay == 0 {
+                assert_eq!(stale_predicted, predicted, "step {step}");
             }
-            if stale.predict(&t) != actual {
-                sm += 1;
-            }
+            assert_eq!(polluted.predict(&t), predicted, "step {step}");
             fresh.update(&t, actual);
             stale.update(&t, actual);
+            polluted.update(&t, actual);
         }
+        assert_eq!(polluted.pollutions(), 0);
         (fm, sm)
     }
 

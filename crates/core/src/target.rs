@@ -161,8 +161,9 @@ impl Ttb {
 /// same path-based DOLC function as the exit predictor, so different paths
 /// to the same indirect jump can predict different targets.
 ///
-/// The caller owns the [`PathRegister`] (usually shared conceptually with
-/// the exit predictor) and passes it to [`Cttb::predict`] / [`Cttb::update`].
+/// The caller owns the [`PathRegister`] and passes it to [`Cttb::predict`] /
+/// [`Cttb::update`]. The index reads only the register's `D` most recent
+/// addresses, so one register deeper than `D` can serve several buffers.
 #[derive(Debug, Clone)]
 pub struct Cttb {
     dolc: Dolc,
@@ -202,6 +203,7 @@ impl Cttb {
 
 /// An ideal (alias-free, infinite) CTTB: one entry per distinct
 /// (task, exact path) state — the reference model of the paper's Figure 8.
+/// The path is the register's `depth` most recent addresses.
 #[derive(Debug, Clone, Default)]
 pub struct IdealCttb {
     depth: usize,
@@ -234,14 +236,14 @@ impl IdealCttb {
     /// Predicts the target reached from `current` along `path`.
     pub fn predict(&self, path: &PathRegister, current: Addr) -> Option<Addr> {
         self.map
-            .get(&(current.0, path.key()))
+            .get(&(current.0, path.key(self.depth)))
             .and_then(|e| e.predict())
     }
 
     /// Trains with the actual target.
     pub fn update(&mut self, path: &PathRegister, current: Addr, actual: Addr) {
         self.map
-            .entry((current.0, path.key()))
+            .entry((current.0, path.key(self.depth)))
             .or_default()
             .train(actual);
     }
@@ -353,14 +355,12 @@ mod tests {
         let mut path = PathRegister::new(2);
         // Many distinct paths to the same task, each with its own target.
         for i in 0..64u32 {
-            path.clear();
             path.push(Addr(i * 8));
             path.push(Addr(i * 8 + 4));
             ideal.update(&path, Addr(0x40), Addr(1000 + i));
         }
         assert_eq!(ideal.states(), 64);
         for i in 0..64u32 {
-            path.clear();
             path.push(Addr(i * 8));
             path.push(Addr(i * 8 + 4));
             assert_eq!(ideal.predict(&path, Addr(0x40)), Some(Addr(1000 + i)));

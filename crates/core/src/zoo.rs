@@ -22,48 +22,10 @@
 use crate::automata::Automaton;
 use crate::confidence::ConfidenceEstimator;
 use crate::dolc::Dolc;
-use crate::history::PathPredictor;
-use crate::predictor::{ExitPredictor, TaskDesc};
+use crate::history::{fold, mask64, touch, PathPredictor};
+use crate::predictor::{ExitPredictor, TaskDesc, EXIT0};
 use crate::rng::XorShift64;
 use multiscalar_isa::ExitIndex;
-
-const EXIT0: ExitIndex = match ExitIndex::new(0) {
-    Some(e) => e,
-    None => unreachable!(),
-};
-
-/// Marks a PHT slot as touched, returning 1 if newly touched.
-#[inline]
-fn touch(touched: &mut [u64], idx: usize) -> usize {
-    let (w, b) = (idx / 64, idx % 64);
-    let newly = (touched[w] >> b) & 1 == 0;
-    touched[w] |= 1 << b;
-    newly as usize
-}
-
-#[inline]
-fn mask64(bits: u32) -> u64 {
-    if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    }
-}
-
-/// XOR-folds `value` (of `total_bits`) into `out_bits`.
-#[inline]
-fn fold(value: u128, total_bits: u32, out_bits: u32) -> usize {
-    let m = (1u128 << out_bits) - 1;
-    let mut acc = 0u128;
-    let mut v = value;
-    let mut consumed = 0;
-    while consumed < total_bits.max(1) {
-        acc ^= v & m;
-        v >>= out_bits;
-        consumed += out_bits;
-    }
-    acc as usize
-}
 
 // ---------------------------------------------------------------------------
 // GSHARE

@@ -125,30 +125,76 @@ fn dolc_index_is_deterministic() {
     }
 }
 
+/// The DOLC index of paper §6, built the slow way from an oldest-first
+/// path: the current task's `C` low bits, then the last task's `L`, then
+/// `O` from each older task, with absent tasks as 0; then every
+/// intermediate bit XORed into its position modulo the index width.
+fn reference_index(d: &Dolc, oldest_first: &[u32], current: u32) -> usize {
+    let low = |a: u32, bits: u32| (0..bits).map(move |b| (a >> b) & 1 == 1);
+    let recent = |i: usize| {
+        oldest_first
+            .len()
+            .checked_sub(i + 1)
+            .map_or(0, |j| oldest_first[j])
+    };
+    let mut bits: Vec<bool> = low(current, d.current_bits()).collect();
+    if d.depth() > 0 {
+        bits.extend(low(recent(0), d.last_bits()));
+        for i in 1..d.depth() {
+            bits.extend(low(recent(i), d.older_bits()));
+        }
+    }
+    assert_eq!(bits.len() as u32, d.intermediate_bits());
+    let width = d.index_bits() as usize;
+    bits.iter()
+        .enumerate()
+        .filter(|&(_, &set)| set)
+        .fold(0, |idx, (pos, _)| idx ^ 1 << (pos % width))
+}
+
 #[test]
-fn path_register_matches_reference_model() {
+fn dolc_index_matches_reference_model_through_warmup() {
+    // Depths 0..=9, registers as deep as the configuration or deeper (a
+    // register shared with deeper structures), and streams that start
+    // cold so every warm-up step is checked.
     let mut rng = XorShift64::new(0xBA7);
-    for _ in 0..256 {
-        let depth = rng.next_below(10) as usize;
-        let len = rng.next_below(50) as usize;
-        let mut reg = PathRegister::new(depth);
+    let mut cases = 0;
+    while cases < 256 {
+        let depth = rng.next_below(10) as u8;
+        let older = rng.next_below(7) as u8;
+        let last = 1 + rng.next_below(10) as u8;
+        let current = 1 + rng.next_below(10) as u8;
+        let folds = 1 + rng.next_below(3) as u8;
+        let intermediate = if depth == 0 {
+            current as u32
+        } else {
+            (depth as u32 - 1) * older as u32 + last as u32 + current as u32
+        };
+        if intermediate.div_ceil(folds as u32) > 28 {
+            continue;
+        }
+        cases += 1;
+        let d = Dolc::new(depth, older, last, current, folds);
+        let register_depth = d.depth() + rng.next_below(4) as usize;
+        let mut reg = PathRegister::new(register_depth);
         let mut model: Vec<u32> = Vec::new();
-        for _ in 0..len {
-            let a = rng.next_below(5000);
+        for _ in 0..rng.next_below(40) {
+            let a = rng.next_below(1 << 12);
+            assert_eq!(
+                d.index(&reg, Addr(a)),
+                reference_index(&d, &model, a),
+                "{d}"
+            );
+            for (i, &m) in model.iter().rev().enumerate() {
+                assert_eq!(reg.recent(i), Some(Addr(m)));
+            }
+            assert_eq!(reg.recent(model.len()), None);
             reg.push(Addr(a));
-            if depth > 0 {
-                model.push(a);
-                if model.len() > depth {
-                    model.remove(0);
-                }
+            model.push(a);
+            if model.len() > register_depth {
+                model.remove(0);
             }
         }
-        let got: Vec<u32> = reg.addrs().map(|a| a.0).collect();
-        assert_eq!(&got, &model);
-        for (i, &m) in model.iter().rev().enumerate() {
-            assert_eq!(reg.recent(i), Some(Addr(m)));
-        }
-        assert_eq!(&*reg.snapshot(), model.as_slice());
     }
 }
 

@@ -29,7 +29,9 @@
 
 use multiscalar_harness::cache::{self, ArtifactCache};
 use multiscalar_harness::pool::Pool;
-use multiscalar_harness::proto::{parse_seed_range, CacheAction, OutputFormat, Request};
+use multiscalar_harness::proto::{
+    check_scale, parse_seed_range, CacheAction, OutputFormat, Request,
+};
 use multiscalar_harness::registry;
 use multiscalar_harness::serve::{self, ServeConfig};
 use multiscalar_workloads::Spec92;
@@ -62,7 +64,8 @@ fn parse_args() -> Result<Invocation, String> {
                 request.params.seed = value()?.parse().map_err(|e| format!("bad seed: {e}"))?
             }
             "--scale" => {
-                request.params.scale = value()?.parse().map_err(|e| format!("bad scale: {e}"))?
+                request.params.scale =
+                    check_scale(value()?.parse().map_err(|e| format!("bad scale: {e}"))?)?
             }
             "--bench" => {
                 let name = value()?;

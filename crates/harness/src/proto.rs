@@ -212,8 +212,9 @@ impl Request {
             "experiment" => self.experiment = value.as_str(key)?.to_string(),
             "seed" => self.params.seed = value.as_u64(key)?,
             "scale" => {
-                self.params.scale = u32::try_from(value.as_u64(key)?)
-                    .map_err(|_| format!("bad value for `{key}`"))?
+                let scale = u32::try_from(value.as_u64(key)?)
+                    .map_err(|_| format!("bad value for `{key}`"))?;
+                self.params.scale = check_scale(scale)?;
             }
             "bench" => {
                 let name = value.as_str(key)?;
@@ -248,8 +249,27 @@ impl Request {
     }
 }
 
+/// Largest workload scale a request may ask for. Workload sizes grow
+/// linearly with scale, and nothing in the repository runs past 4.
+pub const MAX_SCALE: u32 = 16;
+
+/// Most seeds one fuzz range may name. The largest documented sweep is
+/// `--seeds 0..1000`.
+pub const MAX_SEEDS: u64 = 4096;
+
+/// Checks a `--scale N` / `"scale":N` value against [`MAX_SCALE`] — one
+/// code path for both surfaces, so both reject a huge scale with the same
+/// text before anything is built.
+pub fn check_scale(scale: u32) -> Result<u32, String> {
+    if scale > MAX_SCALE {
+        return Err(format!("scale {scale} is above the maximum {MAX_SCALE}"));
+    }
+    Ok(scale)
+}
+
 /// Parses a `--seeds A..B` / `"seeds":"A..B"` range — one code path for
-/// both surfaces, so both reject `5..5` with the same text.
+/// both surfaces, so both reject `5..5` or a range longer than
+/// [`MAX_SEEDS`] with the same text.
 pub fn parse_seed_range(spec: &str) -> Result<std::ops::Range<u64>, String> {
     let (a, b) = spec
         .split_once("..")
@@ -260,6 +280,11 @@ pub fn parse_seed_range(spec: &str) -> Result<std::ops::Range<u64>, String> {
     let end: u64 = b.parse().map_err(|e| format!("bad seed range end: {e}"))?;
     if start >= end {
         return Err(format!("empty seed range `{spec}`"));
+    }
+    if end - start > MAX_SEEDS {
+        return Err(format!(
+            "seed range `{spec}` names more than {MAX_SEEDS} seeds"
+        ));
     }
     Ok(start..end)
 }
@@ -902,6 +927,28 @@ mod tests {
         let line = req.to_json();
         let env = parse_line(&line).unwrap();
         assert_eq!(env.cmd, Command::Run(req));
+    }
+
+    #[test]
+    fn scale_and_seed_caps_have_exact_texts() {
+        assert_eq!(check_scale(MAX_SCALE), Ok(MAX_SCALE));
+        assert_eq!(
+            check_scale(u32::MAX),
+            Err("scale 4294967295 is above the maximum 16".to_string())
+        );
+        assert_eq!(
+            parse_line(r#"{"experiment":"table2","scale":17}"#).unwrap_err(),
+            "scale 17 is above the maximum 16"
+        );
+        assert_eq!(parse_seed_range("5..4101"), Ok(5..4101));
+        assert_eq!(
+            parse_seed_range("0..18446744073709551615"),
+            Err("seed range `0..18446744073709551615` names more than 4096 seeds".to_string())
+        );
+        assert_eq!(
+            parse_line(r#"{"experiment":"fuzz","seeds":"0..4097"}"#).unwrap_err(),
+            "seed range `0..4097` names more than 4096 seeds"
+        );
     }
 
     #[test]

@@ -125,6 +125,36 @@ fn deep_nesting_is_one_error_and_the_server_keeps_serving() {
     );
 }
 
+/// A fuzz range of every `u64` seed and a scale that would ask for
+/// terabytes each get one error naming the cap, with the request id, and
+/// the connection keeps serving: neither may reach preparation.
+#[test]
+fn out_of_range_parameters_are_one_error_each_and_the_server_keeps_serving() {
+    let server = Server::new(&config("bounds", serve::DEFAULT_RESULT_MAX_BYTES));
+    let input = concat!(
+        r#"{"id":2,"cmd":"run","experiment":"fuzz","seeds":"0..18446744073709551615"}"#,
+        "\n",
+        r#"{"id":3,"cmd":"run","experiment":"table2","scale":4294967295}"#,
+        "\n",
+        r#"{"id":4,"cmd":"ping"}"#,
+        "\n",
+    );
+    let mut out = Vec::new();
+    let stopped = server.serve_connection(input.as_bytes(), &mut out);
+    assert!(!stopped);
+    assert_eq!(
+        String::from_utf8(out).unwrap(),
+        concat!(
+            r#"{"id":2,"ok":false,"error":"seed range `0..18446744073709551615` names more than 4096 seeds"}"#,
+            "\n",
+            r#"{"id":3,"ok":false,"error":"scale 4294967295 is above the maximum 16"}"#,
+            "\n",
+            r#"{"id":4,"ok":true,"cached":false,"exit":0,"files":[],"body":"pong\n"}"#,
+            "\n",
+        )
+    );
+}
+
 /// The tentpole property: a repeated identical request is served from the
 /// in-memory result cache — counter-verified, byte-identical, and equal
 /// to what the CLI's own dispatch path produces for the same request.

@@ -27,7 +27,7 @@
 //!   boundary columns are validated semantically (equal lengths, exit
 //!   indices `< MAX_EXITS`, strictly ascending `bound_at` within range) so
 //!   even a corruption that forges the checksum cannot reach
-//!   [`crate::replay::ReplayCursor`]'s infallible fast path.
+//!   the replay cursor's infallible fast path.
 //!
 //! Bump [`CACHE_SCHEMA`] whenever this layout *or the meaning of any
 //! recorded field* changes (e.g. a timing-semantics change that alters what

@@ -6,7 +6,7 @@
 //! wrong-path pollution occurs because the functional trace never goes down
 //! a wrong path.
 
-use crate::trace::{kind_slot, SharedTrace};
+use crate::trace::{kind_slot, SharedTrace, TaskEvent};
 use multiscalar_core::automata::Automaton;
 use multiscalar_core::dolc::PathRegister;
 use multiscalar_core::ideal::{IdealCttbSweep, IdealSweep};
@@ -105,6 +105,29 @@ impl FullStats {
         kind_slot(kind)
             .map(|i| self.target_by_kind[i])
             .unwrap_or_default()
+    }
+
+    /// One event of the composite predictor: predict, score, train.
+    #[inline]
+    fn step<E: ExitPredictor>(
+        &mut self,
+        predictor: &mut TaskPredictor<E>,
+        desc: &TaskDesc,
+        e: &TaskEvent,
+    ) {
+        let pred = predictor.predict(desc);
+        let exit_miss = pred.exit != e.exit;
+        self.exits.record(exit_miss);
+        self.next_task
+            .record(pred.target != Some(e.next) || exit_miss);
+        // Target accuracy conditioned on the actual kind: what would the
+        // right source have produced? Only meaningfully attributable when
+        // the exit itself was predicted correctly.
+        if !exit_miss {
+            let slot = kind_slot(e.kind).expect("halting task is never recorded");
+            self.target_by_kind[slot].record(pred.target != Some(e.next));
+        }
+        predictor.update(desc, e.exit, e.next);
     }
 }
 
@@ -263,21 +286,7 @@ pub fn measure_full<E: ExitPredictor>(
 ) -> FullStats {
     let mut stats = FullStats::default();
     for e in events.iter() {
-        let desc = &descs[e.task.index()];
-        let pred = predictor.predict(desc);
-        let exit_miss = pred.exit != e.exit;
-        stats.exits.record(exit_miss);
-        stats
-            .next_task
-            .record(pred.target != Some(e.next) || exit_miss);
-        // Target accuracy conditioned on the actual kind: what would the
-        // right source have produced? Only meaningfully attributable when
-        // the exit itself was predicted correctly.
-        if !exit_miss {
-            let slot = kind_slot(e.kind).expect("halting task is never recorded");
-            stats.target_by_kind[slot].record(pred.target != Some(e.next));
-        }
-        predictor.update(desc, e.exit, e.next);
+        stats.step(predictor, &descs[e.task.index()], &e);
     }
     stats
 }
@@ -290,10 +299,7 @@ pub fn measure_cttb_only(
 ) -> MissStats {
     let mut stats = MissStats::default();
     for e in events.iter() {
-        let cur = descs[e.task.index()].entry();
-        let predicted = predictor.predict(cur);
-        stats.record(predicted != Some(e.next));
-        predictor.update(cur, e.next);
+        cttb_only_step(predictor, &mut stats, descs[e.task.index()].entry(), e.next);
     }
     stats
 }
@@ -315,34 +321,34 @@ pub fn measure_table3<E: ExitPredictor>(
     let mut only_stats = MissStats::default();
     for e in events.iter() {
         let desc = &descs[e.task.index()];
-        let pred = full.predict(desc);
-        let exit_miss = pred.exit != e.exit;
-        full_stats.exits.record(exit_miss);
-        full_stats
-            .next_task
-            .record(pred.target != Some(e.next) || exit_miss);
-        if !exit_miss {
-            let slot = kind_slot(e.kind).expect("halting task is never recorded");
-            full_stats.target_by_kind[slot].record(pred.target != Some(e.next));
-        }
-        full.update(desc, e.exit, e.next);
-
-        let cur = desc.entry();
-        let predicted = only.predict(cur);
-        only_stats.record(predicted != Some(e.next));
-        only.update(cur, e.next);
+        full_stats.step(full, desc, &e);
+        cttb_only_step(only, &mut only_stats, desc.entry(), e.next);
     }
     (full_stats, only_stats)
+}
+
+/// One event of the CTTB-only predictor: predict `next` from `current`,
+/// score, train.
+#[inline]
+fn cttb_only_step(
+    predictor: &mut CttbOnlyPredictor,
+    stats: &mut MissStats,
+    current: Addr,
+    next: Addr,
+) {
+    stats.record(predictor.predict(current) != Some(next));
+    predictor.update(current, next);
 }
 
 /// A target buffer as seen by the measurement loop — implemented by the
 /// real [`Ttb`] and [`Cttb`] and the alias-free [`IdealCttb`].
 pub trait TargetBuffer {
-    /// Predicts the target for the task at `current` given the path.
+    /// Predicts the target for the task at `current` given the path (which
+    /// may be deeper than [`path_depth`](Self::path_depth)).
     fn predict(&self, path: &PathRegister, current: Addr) -> Option<Addr>;
     /// Trains with the actual target.
     fn update(&mut self, path: &PathRegister, current: Addr, actual: Addr);
-    /// Path depth this buffer wants maintained.
+    /// How many recent task addresses this buffer reads.
     fn path_depth(&self) -> usize;
 }
 
@@ -396,33 +402,26 @@ pub fn measure_indirect_targets<B: TargetBuffer>(
 /// buffer is consulted and trained on `INDIRECT_BRANCH` / `INDIRECT_CALL`
 /// events, and every event advances the path.
 ///
-/// Each buffer keeps its own [`PathRegister`] at its own depth, so results
-/// are bit-identical to measuring the buffers one at a time.
+/// Every buffer reads one [`PathRegister`] sized to the deepest
+/// [`TargetBuffer::path_depth`]; each reads only its own depth of it, so
+/// results are bit-identical to measuring the buffers one at a time.
 pub fn measure_indirect_targets_fused<B: TargetBuffer>(
     buffers: &mut [B],
     descs: &[TaskDesc],
     events: &SharedTrace,
 ) -> Vec<MissStats> {
     let mut stats = vec![MissStats::default(); buffers.len()];
-    let mut paths: Vec<PathRegister> = buffers
-        .iter()
-        .map(|b| PathRegister::new(b.path_depth()))
-        .collect();
+    let mut path = PathRegister::new(buffers.iter().map(B::path_depth).max().unwrap_or(0));
     for e in events.iter() {
         let cur = descs[e.task.index()].entry();
-        let needs_target = e.kind.needs_target_buffer();
-        for ((b, s), path) in buffers
-            .iter_mut()
-            .zip(stats.iter_mut())
-            .zip(paths.iter_mut())
-        {
-            if needs_target {
-                let predicted = b.predict(path, cur);
+        if e.kind.needs_target_buffer() {
+            for (b, s) in buffers.iter_mut().zip(stats.iter_mut()) {
+                let predicted = b.predict(&path, cur);
                 s.record(predicted != Some(e.next));
-                b.update(path, cur, e.next);
+                b.update(&path, cur, e.next);
             }
-            path.push(cur);
         }
+        path.push(cur);
     }
     stats
 }

@@ -10,9 +10,9 @@
 //! `profile` and `ext` timing runs, and the registry's fig10/fig11 grids
 //! (whose functional traces derive from the same artifact via
 //! [`derive_trace`]).
-//! [`simulate_replay`] drives [`crate::timing::simulate_core`] from the
-//! recording with zero re-interpretation and returns a `TimingResult`
-//! bit-identical to [`crate::timing::simulate`]'s.
+//! [`simulate_replay`] drives the timing core (`timing::simulate_core`)
+//! from the recording with zero re-interpretation and returns a
+//! `TimingResult` bit-identical to [`crate::timing::simulate`]'s.
 //!
 //! # Layout
 //!

@@ -24,8 +24,8 @@
 //!
 //! # Two step feeds, one core
 //!
-//! The cycle-accounting loop ([`simulate_core`]) is generic over a
-//! [`StepSource`] that feeds it one instruction's timing-relevant facts at
+//! The cycle-accounting loop (`simulate_core`) is generic over a
+//! `StepSource` that feeds it one instruction's timing-relevant facts at
 //! a time. [`simulate`] drives it from the interpreter (re-executing the
 //! program); [`crate::replay::simulate_replay`] drives it from a
 //! pre-recorded [`crate::replay::InstrReplay`] with zero re-interpretation.
