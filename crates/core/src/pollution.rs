@@ -95,6 +95,11 @@ impl<A: Automaton> PollutedPathPredictor<A> {
     pub fn pollutions(&self) -> u64 {
         self.pollutions
     }
+
+    /// Distinct PHT entries trained so far.
+    pub fn states_touched(&self) -> usize {
+        self.inner.states_touched()
+    }
 }
 
 /// Adapter: drives the polluted predictor through the standard
@@ -142,7 +147,7 @@ impl<A: Automaton> ExitPredictor for PollutedExitAdapter<A> {
     }
 
     fn states_touched(&self) -> usize {
-        0
+        self.inner.states_touched()
     }
 }
 

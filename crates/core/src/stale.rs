@@ -69,7 +69,7 @@ impl<A: Automaton> ExitPredictor for StalePathPredictor<A> {
     }
 
     fn states_touched(&self) -> usize {
-        0 // not tracked for the staleness study
+        self.inner.states_touched()
     }
 }
 
@@ -100,30 +100,35 @@ mod tests {
     }
 
     /// Drives both predictors over the same pseudo-random stream and
-    /// returns their miss counts; at delay 0 they must agree on every
-    /// prediction. Alongside them, a polluted predictor that never leaves
-    /// the right path (wrong-path depth 0) must miss exactly where the
-    /// immediate predictor does.
-    fn race(delay: usize, steps: usize) -> (u64, u64) {
+    /// returns their miss counts on multi-exit tasks, with the number of
+    /// those tasks; at delay 0 they must agree on every prediction.
+    /// Alongside them, a polluted predictor that never leaves the right
+    /// path (wrong-path depth 0) must miss exactly where the immediate
+    /// predictor does.
+    fn race(delay: usize, steps: usize) -> (u64, u64, u64) {
         let d = Dolc::new(3, 4, 6, 6, 2);
         let mut fresh: PathPredictor<Leh2> = PathPredictor::new(d);
         let mut stale: StalePathPredictor<Leh2> = StalePathPredictor::new(d, delay);
         let mut polluted: PollutedExitAdapter<Leh2> =
             PollutedExitAdapter::new(PollutedPathPredictor::new(d, 0, false));
         let mut rng = XorShift64::new(42);
-        let (mut fm, mut sm) = (0, 0);
+        let (mut fm, mut sm, mut multi) = (0, 0, 0);
         let mut prev = 0;
         for step in 0..steps {
             // Every fourth task has one exit, so the skip rule is raced too;
-            // a multi-exit task's exit follows its predecessor's address,
+            // it always takes exit 0 and so cannot miss, and only multi-exit
+            // tasks are counted. A multi-exit task's exit follows bit 4 of
+            // its predecessor's address, which the fold leaves unaliased,
             // so only a correctly kept path predicts it.
             let t = task(0x10 + rng.next_below(8) * 0x8, 1 + (step % 4 != 0) as usize);
-            let actual = e((prev >> 3 & 1) as u8 * (t.num_exits() as u8 - 1));
+            let actual = e((prev >> 4 & 1) as u8 * (t.num_exits() as u8 - 1));
             prev = t.entry().0;
+            let counted = !t.single_exit() as u64;
+            multi += counted;
             let predicted = fresh.predict(&t);
-            fm += (predicted != actual) as u64;
+            fm += counted * (predicted != actual) as u64;
             let stale_predicted = stale.predict(&t);
-            sm += (stale_predicted != actual) as u64;
+            sm += counted * (stale_predicted != actual) as u64;
             if delay == 0 {
                 assert_eq!(stale_predicted, predicted, "step {step}");
             }
@@ -133,26 +138,32 @@ mod tests {
             polluted.update(&t, actual);
         }
         assert_eq!(polluted.pollutions(), 0);
-        (fm, sm)
+        assert_eq!(polluted.states_touched(), fresh.states_touched());
+        if delay == 0 {
+            assert_eq!(stale.states_touched(), fresh.states_touched());
+        }
+        (fm, sm, multi)
     }
 
     #[test]
     fn zero_delay_matches_the_immediate_predictor() {
-        let (fresh, stale) = race(0, 2000);
+        let (fresh, stale, _) = race(0, 2000);
         assert_eq!(fresh, stale, "delay 0 must be bit-identical");
     }
 
     #[test]
     fn staleness_costs_accuracy_but_converges() {
-        let (fresh, stale) = race(8, 4000);
+        let (fresh, stale, multi) = race(8, 4000);
+        assert_eq!(multi, 3000);
         assert!(
             stale >= fresh,
             "stale training cannot beat immediate training"
         );
-        // On a stationary pattern the stale predictor still learns.
+        // On a stationary pattern the stale predictor still learns: chance
+        // is half the multi-exit tasks, as single-exit ones cannot miss.
         assert!(
-            (stale as f64) < 4000.0 * 0.5,
-            "even badly stale training must beat chance: {stale}"
+            (stale as f64) < multi as f64 * 0.5,
+            "even badly stale training must beat chance: {stale} of {multi}"
         );
     }
 
