@@ -21,7 +21,8 @@ use multiscalar_core::history::PathPredictor;
 use multiscalar_core::predictor::{CttbOnlyPredictor, TaskPredictor};
 use multiscalar_isa::ExitKind;
 use multiscalar_sim::measure::{measure_full, measure_indirect_targets, measure_table3, MissStats};
-use multiscalar_sim::replay::simulate_replay;
+use multiscalar_sim::metrics::{MetricsSink, NoopSink};
+use multiscalar_sim::replay::{walk_replay, MachineOutcomes, TaskOutcomes};
 use multiscalar_sim::timing::{NextTaskPredictor, TimingConfig, TimingResult};
 
 type Leh2 = LastExitHysteresis<2>;
@@ -448,39 +449,94 @@ pub struct Table4Row {
 /// Reproduces Table 4: IPC from the timing simulator with Simple / GLOBAL /
 /// PER / PATH / Perfect inter-task prediction. All real predictors use a
 /// 16 KB PHT, depth 7 (depth 0 for Simple), a CTTB for indirects and a RAS
-/// for returns, matching the paper's setup. Five jobs per benchmark (one
-/// per predictor column).
+/// for returns, matching the paper's setup.
 ///
-/// All five columns drive the timing model from the benchmark's recorded
-/// `InstrReplay` ([`Bench::replay`] — served from the artifact cache
-/// when warm) with zero re-interpretation — sequential solo walks beat a
-/// fused multi-state walk here because each column's working set (ARB,
-/// scoreboard, predictor tables) stays cache-resident. The
-/// interpreter-driven `timing::simulate` is the test and fuzz oracle these
-/// rows are checked against.
+/// Every column replays the benchmark's recorded `InstrReplay`
+/// ([`Bench::replay`] — served from the artifact cache when warm) with
+/// zero re-interpretation, through `column_grid`: the intra-task
+/// predictor and the ARB run once per benchmark, and each column pays only
+/// for its predictor pass over the task boundaries and a predictor-free
+/// cycle walk, whose working set (scoreboard, ring clocks, store-time
+/// table) stays cache-resident. The interpreter-driven `timing::simulate`
+/// is the test and fuzz oracle these rows are checked against.
 pub fn table4(benches: &[Bench], config: &TimingConfig, pool: &Pool) -> Vec<Table4Row> {
-    let mut jobs: Vec<Job<'_, TimingResult>> = Vec::new();
-    for b in benches.iter() {
-        for column in Table4Column::ALL {
-            jobs.push(Box::new(move || {
-                let mut pred = column.predictor();
-                let pred = pred.as_mut().map(|p| p as &mut dyn NextTaskPredictor);
-                simulate_replay(&b.replay, &b.descs, pred, config)
-            }));
+    column_grid(benches, config, pool, |b, machine, column| {
+        walk_column(b, machine, column, config, &mut NoopSink)
+    })
+    .into_iter()
+    .zip(benches)
+    .map(|(row, b)| {
+        let [simple, global, per, path, perfect] = row[..] else {
+            unreachable!("one result per column")
+        };
+        Table4Row {
+            name: b.name(),
+            simple,
+            global,
+            per,
+            path,
+            perfect,
         }
-    }
+    })
+    .collect()
+}
+
+/// Runs `walk(bench, machine, column)` for every benchmark × Table 4
+/// column on `pool`, grouped per benchmark in [`Table4Column::ALL`] order.
+/// A first round of one job per benchmark resolves its
+/// [`MachineOutcomes`] under `config` (the intra-task predictor and ARB
+/// streams, which no inter-task predictor changes); the second round of
+/// one job per cell shares them. Both rounds return in submission order,
+/// so any pool width gives identical results.
+pub(crate) fn column_grid<T: Send>(
+    benches: &[Bench],
+    config: &TimingConfig,
+    pool: &Pool,
+    walk: impl Fn(&Bench, &MachineOutcomes, Table4Column) -> T + Sync,
+) -> Vec<Vec<T>> {
+    let machine_jobs: Vec<Job<'_, MachineOutcomes>> = benches
+        .iter()
+        .map(|b| Box::new(move || MachineOutcomes::resolve(&b.replay, config)) as Job<'_, _>)
+        .collect();
+    let machines = pool.run(machine_jobs);
+    let walk = &walk;
+    let jobs: Vec<Job<'_, T>> = benches
+        .iter()
+        .zip(&machines)
+        .flat_map(|(b, machine)| {
+            Table4Column::ALL
+                .into_iter()
+                .map(move |column| Box::new(move || walk(b, machine, column)) as Job<'_, T>)
+        })
+        .collect();
     let mut results = pool.run(jobs).into_iter();
     benches
         .iter()
-        .map(|b| Table4Row {
-            name: b.name(),
-            simple: results.next().expect("simple result"),
-            global: results.next().expect("global result"),
-            per: results.next().expect("per result"),
-            path: results.next().expect("path result"),
-            perfect: results.next().expect("perfect result"),
-        })
+        .map(|_| results.by_ref().take(Table4Column::ALL.len()).collect())
         .collect()
+}
+
+/// One Table 4 column's timing run on a benchmark's shared machine
+/// outcomes: the column's fresh predictor resolves the task boundaries,
+/// then the predictor-free cycle walk consumes both streams. Bit-identical
+/// to `simulate_replay_with_sink` with the same predictor.
+pub(crate) fn walk_column<M: MetricsSink>(
+    b: &Bench,
+    machine: &MachineOutcomes,
+    column: Table4Column,
+    config: &TimingConfig,
+    sink: &mut M,
+) -> TimingResult {
+    let mut pred = column.predictor();
+    let task = TaskOutcomes::resolve(
+        &b.replay,
+        &b.descs,
+        pred.as_mut()
+            .map(|p| p.as_mut() as &mut dyn NextTaskPredictor),
+        config,
+        M::ENABLED,
+    );
+    walk_replay(&b.replay, machine, &task, config, sink)
 }
 
 /// Convenience: the full-predictor miss stats used in several places.

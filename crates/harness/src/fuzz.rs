@@ -12,7 +12,9 @@
 //! 2. **task formation** — the case's former budget (one of
 //!    [`crate::extensions::TASKFORM_CONFIGS`]) must partition and validate;
 //! 3. **interpreter vs replay** — the sanitize lockstep walk
-//!    ([`check_replay_agreement`]) must agree step for step;
+//!    ([`check_replay_agreement`]) must agree step for step, resolved
+//!    outcomes included (intra-task miss, ARB bank-full, boundary miss,
+//!    gated and predicted target);
 //! 4. **timing engines** — over four predictor slots (perfect, PATH, and
 //!    the two zoo families), the interpreter-fed and replay-fed timing
 //!    runs must produce bit-identical
@@ -124,6 +126,20 @@ fn catching<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(payload_str)
 }
 
+/// The machine oracle 3's lockstep walk resolves its outcomes under: the
+/// paper's, with a 3-bank, 2-entry ARB so the bank-full stream carries
+/// ones (the paper's ARB never fills on these programs) and CIR gate 8 so
+/// the gated stream does too.
+fn lockstep_config() -> TimingConfig {
+    TimingConfig::paper()
+        .arb(Some(multiscalar_sim::arb::ArbConfig {
+            banks: 3,
+            entries_per_bank: 2,
+            stages: 4,
+        }))
+        .confidence_gate(Some(8))
+}
+
 /// Predictor slots oracle 4 runs on both timing engines.
 const TIMING_SLOTS: usize = 4;
 
@@ -182,7 +198,7 @@ pub fn differential(program: &Program, former: usize) -> Option<(&'static str, S
     }
 
     // Oracle 3: interpreter vs replay step feeds, in lockstep.
-    match catching(|| check_replay_agreement(program, &tasks, MAX_STEPS)) {
+    match catching(|| check_replay_agreement(program, &tasks, &lockstep_config(), MAX_STEPS)) {
         Ok(Ok(_steps)) => {}
         Ok(Err(e)) => return Some(("trace-error", e.to_string())),
         Err(panic) => return Some(("replay-divergence", panic)),

@@ -13,10 +13,10 @@
 //! task-level JSON-lines event log of a single run for the same grid.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use crate::dispatch::Table4Column;
-use crate::pool::{Job, Pool};
+use crate::experiments::{column_grid, walk_column};
+use crate::pool::Pool;
 use crate::Bench;
 use multiscalar_sim::metrics::{Cause, CycleBreakdown, TaskEventSink, UnitOccupancy};
 use multiscalar_sim::replay::simulate_replay_with_sink;
@@ -60,48 +60,34 @@ pub fn profile(
     pool: &Pool,
     occupancy: bool,
 ) -> Vec<ProfileRow> {
-    let mut jobs: Vec<Job<'_, ProfileCell>> = Vec::new();
-    for b in benches {
-        for column in Table4Column::ALL {
-            let replay = Arc::clone(&b.replay);
-            jobs.push(Box::new(move || {
-                let mut pred = column.predictor();
-                let pred = pred.as_mut().map(|p| p as &mut dyn NextTaskPredictor);
-                if occupancy {
-                    let mut sinks = (CycleBreakdown::new(), UnitOccupancy::new(config.n_units));
-                    let result =
-                        simulate_replay_with_sink(&replay, &b.descs, pred, config, &mut sinks);
-                    ProfileCell {
-                        column,
-                        result,
-                        breakdown: sinks.0,
-                        occupancy: Some(sinks.1),
-                    }
-                } else {
-                    let mut breakdown = CycleBreakdown::new();
-                    let result =
-                        simulate_replay_with_sink(&replay, &b.descs, pred, config, &mut breakdown);
-                    ProfileCell {
-                        column,
-                        result,
-                        breakdown,
-                        occupancy: None,
-                    }
-                }
-            }));
+    column_grid(benches, config, pool, |b, machine, column| {
+        if occupancy {
+            let mut sinks = (CycleBreakdown::new(), UnitOccupancy::new(config.n_units));
+            let result = walk_column(b, machine, column, config, &mut sinks);
+            ProfileCell {
+                column,
+                result,
+                breakdown: sinks.0,
+                occupancy: Some(sinks.1),
+            }
+        } else {
+            let mut breakdown = CycleBreakdown::new();
+            let result = walk_column(b, machine, column, config, &mut breakdown);
+            ProfileCell {
+                column,
+                result,
+                breakdown,
+                occupancy: None,
+            }
         }
-    }
-    let mut results = pool.run(jobs).into_iter();
-    benches
-        .iter()
-        .map(|b| ProfileRow {
-            name: b.name(),
-            cells: Table4Column::ALL
-                .iter()
-                .map(|_| results.next().expect("one cell per column"))
-                .collect(),
-        })
-        .collect()
+    })
+    .into_iter()
+    .zip(benches)
+    .map(|(cells, b)| ProfileRow {
+        name: b.name(),
+        cells,
+    })
+    .collect()
 }
 
 /// The task-level event log (JSON lines) of one benchmark's run under one

@@ -12,6 +12,9 @@ use multiscalar_sim::replay::{record_replay, simulate_replay, simulate_replay_wi
 use multiscalar_sim::timing::{simulate_with_sink, NextTaskPredictor, TimingConfig};
 use multiscalar_workloads::{Spec92, WorkloadParams};
 
+/// FNV-1a 64 of the compress/PATH event log at scale 1.
+const EVENT_LOG_DIGEST: u64 = 0x16be_cac6_f566_6f19;
+
 fn params() -> WorkloadParams {
     WorkloadParams::small(0xC0FFEE)
 }
@@ -195,4 +198,25 @@ fn event_log_covers_the_run() {
             "malformed event line: {line}"
         );
     }
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The event log's bytes are pinned: its `predicted` field is the only
+/// place a sink reads the predicted next-task address, which the replay
+/// walk takes from the predictor pass's target stream.
+#[test]
+fn event_log_bytes_are_pinned() {
+    let b = prepare(Spec92::Compress, &params());
+    let log = profile::events_jsonl(&b, Table4Column::Path, &TimingConfig::paper());
+    let digest = fnv1a(log.as_bytes());
+    assert_eq!(
+        digest, EVENT_LOG_DIGEST,
+        "compress/PATH event log digest {digest:#018x}"
+    );
 }

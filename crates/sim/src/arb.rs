@@ -16,8 +16,15 @@
 //! * when a bank is full, the reference cannot be tracked and the machine
 //!   must stall until the head commits.
 //!
-//! The timing simulator uses this structure for capacity/occupancy
-//! modelling and violation bookkeeping; see
+//! What the timing simulator takes from it is narrower than the structure
+//! offers: only per-task **bank-overflow** stalls. The machine retires the
+//! head task and opens the next one at every task boundary and never
+//! squashes, so the stage window holds exactly one task:
+//! [`ArbConfig::stages`] changes no result, no store ever finds a younger
+//! stage's load, and [`ArbEvent::Violation`] never fires there.
+//! Memory-order violations come instead from the timing core's store-time
+//! check (a load that issued before an older task's store to the same
+//! word). A multi-stage window would change outputs; see
 //! [`crate::timing::TimingConfig::arb`].
 
 use std::collections::VecDeque;
@@ -29,7 +36,8 @@ pub struct ArbConfig {
     pub banks: usize,
     /// Entries per bank.
     pub entries_per_bank: usize,
-    /// Maximum in-flight stages (the ring size).
+    /// Maximum in-flight stages (the ring size). The timing simulator keeps
+    /// one stage in flight, so this changes none of its results.
     pub stages: usize,
 }
 

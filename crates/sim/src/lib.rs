@@ -12,11 +12,16 @@
 //! * a **timing simulator** ([`timing`]) modelling the ring of processing
 //!   units (4 × 2-way by default), in-order issue with register-dataflow
 //!   stalls, intra-task bimodal prediction and full squash on inter-task
-//!   mispredictions — the source of Table 4's IPC numbers. The [`replay`]
-//!   module records one interpreter pass per benchmark into an immutable
-//!   [`replay::InstrReplay`] so every predictor column replays the same
-//!   execution with zero re-interpretation ([`replay::simulate_replay`] is
-//!   bit-identical to [`timing::simulate`]).
+//!   mispredictions — the source of Table 4's IPC numbers. Every
+//!   predictor it models trains in program order, so a functional outcome
+//!   model resolves each prediction and the cycle walk only consumes the
+//!   outcomes. The [`replay`] module records one interpreter pass per
+//!   benchmark into an immutable [`replay::InstrReplay`] and resolves the
+//!   outcomes once per recording ([`replay::MachineOutcomes`], shared by
+//!   every predictor column, and [`replay::TaskOutcomes`], one per
+//!   predictor), so every column replays the same execution with zero
+//!   re-interpretation and a predictor-free walk
+//!   ([`replay::simulate_replay`] is bit-identical to [`timing::simulate`]).
 //!
 //! Building with `--features sanitize` arms runtime assertions over the
 //! timing model's invariants (FIFO ARB commit order, monotone ring clocks)
@@ -48,6 +53,7 @@ pub mod arb;
 pub mod codec;
 pub mod measure;
 pub mod metrics;
+mod outcome;
 pub mod replay;
 pub mod sanitize;
 pub mod timing;
@@ -60,6 +66,7 @@ pub use metrics::{
     TaskEventSink, UnitOccupancy,
 };
 pub use replay::{
-    derive_trace, record_replay, simulate_replay, simulate_replay_with_sink, InstrReplay,
+    derive_trace, record_replay, simulate_replay, simulate_replay_with_sink, walk_replay,
+    InstrReplay, MachineOutcomes, TaskOutcomes,
 };
 pub use trace::{TaskEvent, TraceRun, TraceStats};

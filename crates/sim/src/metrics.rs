@@ -12,7 +12,7 @@
 //! # The attribution model
 //!
 //! The core is event-driven, not cycle-stepped: it maintains a monotone
-//! *completion frontier* (`CoreState::complete`) whose final value is
+//! *completion frontier* (`simulate_core`'s `complete` clock) whose final value is
 //! exactly [`TimingResult::cycles`]. Every advance of that frontier happens
 //! at one of four sites, each of which reports a [`FrontierCause`]:
 //!

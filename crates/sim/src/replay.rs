@@ -14,6 +14,22 @@
 //! from the recording with zero re-interpretation and returns a
 //! `TimingResult` bit-identical to [`crate::timing::simulate`]'s.
 //!
+//! # Outcome streams
+//!
+//! The predictors run ahead of the cycle walk, once over the recording in
+//! program order, and leave bit streams the walk reads in step:
+//!
+//! * [`MachineOutcomes`] — one intra-task miss bit per recorded intra-task
+//!   branch and one ARB bank-full bit per recorded load or store. A
+//!   function of the recording and the [`TimingConfig`]'s intra predictor
+//!   and ARB, so all of a benchmark's predictor columns share it;
+//! * [`TaskOutcomes`] — a miss bit and a gated bit per task boundary, one
+//!   per predictor and confidence gate, plus the predicted targets when an
+//!   enabled sink will log them.
+//!
+//! [`walk_replay`] is the predictor-free walk over a recording and both
+//! parts; [`simulate_replay`] resolves both parts and walks.
+//!
 //! # Layout
 //!
 //! Each instruction packs into one `u32` op word:
@@ -40,10 +56,12 @@ use multiscalar_core::predictor::TaskDesc;
 use multiscalar_isa::{Addr, ExitIndex, Instruction, Interpreter, Program};
 use multiscalar_taskform::{TaskId, TaskProgram};
 
+use crate::arb::ArbConfig;
 use crate::metrics::{MetricsSink, NoopSink};
+use crate::outcome::{MachineModel, TaskModel};
 use crate::timing::{
-    simulate_core, BoundaryStep, CoreStep, NextTaskPredictor, OpClass, StepSource, TimingConfig,
-    TimingResult, NO_REG,
+    simulate_core, BoundaryStep, CoreStep, IntraPredictorKind, NextTaskPredictor, OpClass,
+    StepSource, TimingConfig, TimingResult, NO_REG,
 };
 use crate::trace::{kind_slot, SharedTrace, TaskEvent, TraceError, TraceRun, TraceStats};
 
@@ -282,10 +300,188 @@ pub fn derive_trace(replay: &InstrReplay, tasks: &TaskProgram) -> TraceRun {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Outcome streams
+// ---------------------------------------------------------------------------
+
+/// A packed stream of outcome bits, appended and read in program order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Bits {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl Bits {
+    fn with_capacity(bits: usize) -> Bits {
+        Bits {
+            words: Vec::with_capacity(bits.div_ceil(64)),
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, bit: bool) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.push(0);
+        }
+        if let Some(w) = self.words.last_mut() {
+            *w |= (bit as u64) << shift;
+        }
+        self.len += 1;
+    }
+
+    fn reader(&self) -> BitReader<'_> {
+        BitReader {
+            words: &self.words,
+            word: 0,
+            left: 0,
+        }
+    }
+}
+
+/// Sequential reader over a [`Bits`] stream.
+struct BitReader<'a> {
+    words: &'a [u64],
+    /// The current word, shifted so its next bit is bit 0.
+    word: u64,
+    /// Bits of `word` not yet read.
+    left: u32,
+}
+
+impl BitReader<'_> {
+    #[inline(always)]
+    fn next(&mut self) -> bool {
+        if self.left == 0 {
+            let (&w, rest) = self
+                .words
+                .split_first()
+                .expect("outcome stream covers the recording");
+            self.word = w;
+            self.words = rest;
+            self.left = 64;
+        }
+        let bit = self.word & 1 != 0;
+        self.word >>= 1;
+        self.left -= 1;
+        bit
+    }
+}
+
+/// The [`TimingConfig`] fields the machine streams depend on.
+type MachineKey = (IntraPredictorKind, u32, Option<ArbConfig>, usize);
+
+fn machine_key(c: &TimingConfig) -> MachineKey {
+    (c.intra_predictor, c.bimodal_bits, c.arb, c.n_units)
+}
+
+/// The machine half of a recording's resolved outcomes: one intra-task
+/// miss bit per recorded intra-task branch and one ARB bank-full bit per
+/// recorded load or store, in program order. They depend only on the
+/// recording and on the configuration's intra predictor and ARB, so every
+/// predictor column of one machine shares them: Table 4 resolves them
+/// once per benchmark.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MachineOutcomes {
+    intra_miss: Bits,
+    arb_full: Bits,
+    key: MachineKey,
+}
+
+impl MachineOutcomes {
+    /// Steps the intra-task predictor and the ARB over `replay` in program
+    /// order under `config`.
+    pub fn resolve(replay: &InstrReplay, config: &TimingConfig) -> MachineOutcomes {
+        let mut model = MachineModel::new(config);
+        let mut intra_miss = Bits::with_capacity(replay.branch_pcs.len());
+        let mut arb_full = Bits::with_capacity(replay.mem_addrs.len());
+        let mut mem_addrs = replay.mem_addrs.iter();
+        let mut branch_pcs = replay.branch_pcs.iter();
+        let mut bound_at = replay.bound_at.iter().peekable();
+        for (i, &op) in replay.ops.iter().enumerate() {
+            match op_class(op) {
+                class @ (OpClass::Load | OpClass::Store) => {
+                    let &ea = mem_addrs.next().expect("recorded address");
+                    arb_full.push(model.mem(ea, class == OpClass::Load));
+                }
+                OpClass::Branch => {
+                    let &pc = branch_pcs.next().expect("recorded branch");
+                    intra_miss.push(model.branch(Addr(pc), op & TAKEN_BIT != 0));
+                }
+                OpClass::Other => {}
+            }
+            // The crossing instruction's own reference belongs to the
+            // retiring task, so the boundary follows it.
+            if bound_at.next_if_eq(&&(i as u64)).is_some() {
+                model.boundary();
+            }
+        }
+        MachineOutcomes {
+            intra_miss,
+            arb_full,
+            key: machine_key(config),
+        }
+    }
+}
+
+/// The task half of a recording's resolved outcomes: a miss bit and a
+/// gated bit per task boundary, plus — for runs with an enabled sink —
+/// the predicted next-task address. A function of the recording's
+/// boundaries, one predictor and the confidence gate.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TaskOutcomes {
+    /// Two bits per boundary: miss, then gated.
+    bits: Bits,
+    /// The predicted next-task address per boundary, when kept.
+    targets: Option<Vec<Option<Addr>>>,
+    /// The confidence gate the bits were resolved under.
+    gate: Option<u8>,
+}
+
+impl TaskOutcomes {
+    /// Steps `predictor` (`None` = perfect prediction) and, under a
+    /// confidence gate, the CIR estimator over `replay`'s boundaries in
+    /// program order. `keep_targets` keeps the predicted-target stream the
+    /// task event log reads; [`walk_replay`] requires it for enabled sinks.
+    pub fn resolve(
+        replay: &InstrReplay,
+        descs: &[TaskDesc],
+        predictor: Option<&mut dyn NextTaskPredictor>,
+        config: &TimingConfig,
+        keep_targets: bool,
+    ) -> TaskOutcomes {
+        let n = replay.bound_at.len();
+        let mut model = TaskModel::new(predictor, config);
+        let mut bits = Bits::with_capacity(2 * n);
+        let mut targets = keep_targets.then(|| Vec::with_capacity(n));
+        for i in 0..n {
+            let outcome = model.resolve(
+                &descs[replay.bound_task[i] as usize],
+                ExitIndex::new(replay.bound_exit[i]).expect("recorded exit is valid"),
+                Addr(replay.bound_next[i]),
+            );
+            bits.push(outcome.miss);
+            bits.push(outcome.gated);
+            if let Some(t) = targets.as_mut() {
+                t.push(outcome.predicted);
+            }
+        }
+        TaskOutcomes {
+            bits,
+            targets,
+            gate: config.confidence_gate,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The replay cursor
+// ---------------------------------------------------------------------------
+
 /// How far ahead (in elements) the cursor pulls upcoming replay columns
 /// toward the cache. One op word is 4 bytes, so 64 elements is four cache
-/// lines of lookahead — far enough to cover the fused engines' per-step
-/// work, near enough not to thrash.
+/// lines of lookahead — far enough to cover the walk's per-step work, near
+/// enough not to thrash.
 const PREFETCH_AHEAD: usize = 64;
 
 /// Forces the load of the element `PREFETCH_AHEAD` slots ahead, warming the
@@ -299,10 +495,16 @@ fn prefetch<T: Copy>(s: &[T]) {
     }
 }
 
-/// A cursor walking an [`InstrReplay`] as a [`StepSource`]. Infallible by
-/// construction: recording already resolved every error. Holds shrinking
-/// slices rather than indices so the hot path carries no bounds checks,
-/// and prefetches upcoming columns of the recording as it advances.
+#[inline(always)]
+fn op_class(op: u32) -> OpClass {
+    OpClass::from_u8(((op >> CLASS_SHIFT) & 0x3) as u8)
+}
+
+/// A cursor walking an [`InstrReplay`] and its resolved outcome streams as
+/// a [`StepSource`]. Infallible by construction: recording already
+/// resolved every error. Holds shrinking slices rather than indices so the
+/// hot path carries no bounds checks, and prefetches upcoming columns of
+/// the recording as it advances.
 pub(crate) struct ReplayCursor<'a> {
     /// Remaining op words; the last element is the halting instruction.
     ops: &'a [u32],
@@ -317,10 +519,20 @@ pub(crate) struct ReplayCursor<'a> {
     bound_task: &'a [u32],
     bound_exit: &'a [u8],
     bound_next: &'a [u32],
+    /// One bit per intra-task branch, per load/store, and two per boundary.
+    intra_miss: BitReader<'a>,
+    arb_full: BitReader<'a>,
+    bound_bits: BitReader<'a>,
+    /// Remaining predicted targets; empty when the run keeps none.
+    targets: &'a [Option<Addr>],
 }
 
 impl<'a> ReplayCursor<'a> {
-    pub(crate) fn new(r: &'a InstrReplay) -> ReplayCursor<'a> {
+    pub(crate) fn new(
+        r: &'a InstrReplay,
+        machine: &'a MachineOutcomes,
+        task: &'a TaskOutcomes,
+    ) -> ReplayCursor<'a> {
         ReplayCursor {
             ops: &r.ops,
             mem_addrs: &r.mem_addrs,
@@ -330,39 +542,54 @@ impl<'a> ReplayCursor<'a> {
             bound_task: &r.bound_task,
             bound_exit: &r.bound_exit,
             bound_next: &r.bound_next,
+            intra_miss: machine.intra_miss.reader(),
+            arb_full: machine.arb_full.reader(),
+            bound_bits: task.bits.reader(),
+            targets: task.targets.as_deref().unwrap_or_default(),
         }
     }
 }
 
 impl StepSource for ReplayCursor<'_> {
+    #[inline(always)]
     fn next_step(&mut self) -> Result<CoreStep, TraceError> {
         prefetch(self.ops);
         let (&op, rest) = self.ops.split_first().expect("cursor stops at halt");
-        let class = OpClass::from_u8(((op >> CLASS_SHIFT) & 0x3) as u8);
+        let class = op_class(op);
 
-        let mem_addr = if matches!(class, OpClass::Load | OpClass::Store) {
+        let (mem_addr, arb_full) = if matches!(class, OpClass::Load | OpClass::Store) {
             prefetch(self.mem_addrs);
             let (&a, rest) = self.mem_addrs.split_first().expect("recorded address");
             self.mem_addrs = rest;
-            a
+            (a, self.arb_full.next())
         } else {
-            0
+            (0, false)
         };
-        let (branch_pc, taken) = if class == OpClass::Branch {
+        let (branch_pc, taken, intra_miss) = if class == OpClass::Branch {
             let (&pc, rest) = self.branch_pcs.split_first().expect("recorded branch");
             self.branch_pcs = rest;
-            (Addr(pc), op & TAKEN_BIT != 0)
+            (Addr(pc), op & TAKEN_BIT != 0, self.intra_miss.next())
         } else {
-            (Addr(0), false)
+            (Addr(0), false, false)
         };
 
         // The halting instruction is always the recording's last op.
         let halt = rest.is_empty();
         let boundary = if !halt && self.bound_at.first() == Some(&self.i) {
+            let predicted = match self.targets.split_first() {
+                Some((&t, rest)) => {
+                    self.targets = rest;
+                    t
+                }
+                None => None,
+            };
             let b = BoundaryStep {
                 task: self.bound_task[0],
                 exit: ExitIndex::new(self.bound_exit[0]).expect("recorded exit is valid"),
                 next: Addr(self.bound_next[0]),
+                miss: self.bound_bits.next(),
+                gated: self.bound_bits.next(),
+                predicted,
             };
             self.bound_at = &self.bound_at[1..];
             self.bound_task = &self.bound_task[1..];
@@ -381,13 +608,19 @@ impl StepSource for ReplayCursor<'_> {
             dest: ((op >> 16) & 0xFF) as u8,
             class,
             mem_addr,
+            arb_full,
             branch_pc,
             taken,
+            intra_miss,
             halt,
             boundary,
         })
     }
 }
+
+// ---------------------------------------------------------------------------
+// Entry points
+// ---------------------------------------------------------------------------
 
 /// Runs the timing model over a recorded execution — same cycle accounting
 /// as [`crate::timing::simulate`], zero re-interpretation, bit-identical
@@ -410,6 +643,10 @@ pub fn simulate_replay(
 /// [`crate::timing::simulate_with_sink`], so breakdowns and event logs are
 /// engine-independent: both engines report identical sink streams for the
 /// same execution.
+///
+/// Resolves both outcome halves ([`MachineOutcomes`], [`TaskOutcomes`])
+/// and then runs [`walk_replay`]; callers running several predictors on
+/// one machine resolve the machine half once and walk each column.
 pub fn simulate_replay_with_sink<M: MetricsSink>(
     replay: &InstrReplay,
     descs: &[TaskDesc],
@@ -417,16 +654,52 @@ pub fn simulate_replay_with_sink<M: MetricsSink>(
     config: &TimingConfig,
     sink: &mut M,
 ) -> TimingResult {
-    let mut cursor = ReplayCursor::new(replay);
-    simulate_core(
-        &mut cursor,
-        descs,
-        predictor,
-        config,
-        replay.mem_words,
-        sink,
-    )
-    .expect("replay cursor never errors")
+    let machine = MachineOutcomes::resolve(replay, config);
+    let task = TaskOutcomes::resolve(replay, descs, predictor, config, M::ENABLED);
+    walk_replay(replay, &machine, &task, config, sink)
+}
+
+/// The predictor-free cycle walk over a recording and its resolved
+/// outcomes. Returns the same [`TimingResult`] as [`simulate_replay`] with
+/// the predictor `task` was resolved with.
+///
+/// # Panics
+///
+/// Panics if `machine` was resolved under another intra predictor, ARB or
+/// ring size than `config`, if `task` was resolved under another
+/// confidence gate, if either belongs to another recording, or if `sink`
+/// is enabled and `task` kept no predicted targets.
+pub fn walk_replay<M: MetricsSink>(
+    replay: &InstrReplay,
+    machine: &MachineOutcomes,
+    task: &TaskOutcomes,
+    config: &TimingConfig,
+    sink: &mut M,
+) -> TimingResult {
+    assert!(
+        machine.key == machine_key(config),
+        "machine outcomes were resolved under another machine configuration"
+    );
+    assert!(
+        machine.intra_miss.len == replay.branch_pcs.len()
+            && machine.arb_full.len == replay.mem_addrs.len(),
+        "machine outcomes belong to another recording"
+    );
+    assert_eq!(
+        task.gate, config.confidence_gate,
+        "task outcomes were resolved under another confidence gate"
+    );
+    assert_eq!(
+        task.bits.len,
+        2 * replay.bound_at.len(),
+        "task outcomes belong to another recording"
+    );
+    assert!(
+        !M::ENABLED || task.targets.is_some(),
+        "an enabled sink needs the predicted-target stream"
+    );
+    let mut cursor = ReplayCursor::new(replay, machine, task);
+    simulate_core(&mut cursor, config, replay.mem_words, sink).expect("replay cursor never errors")
 }
 
 #[cfg(test)]

@@ -11,8 +11,11 @@
 //! walks the interpreter feed and the replay cursor in lockstep and asserts
 //! that every step they produce agrees — same instruction class, same
 //! register operands, same memory address, same intra-task branch outcome,
-//! and, crucially, the **same task-boundary events** (retiring task, header
-//! exit, next-task entry).
+//! the **same task-boundary events** (retiring task, header exit, next-task
+//! entry) and the **same resolved outcomes**: the intra-task miss and ARB
+//! bank-full bits the interpreter feed steps inline against the streams
+//! the replay reads, and each boundary's miss, gated bit and predicted
+//! target.
 //!
 //! Enabling the feature also arms assertions inside the model itself:
 //!
@@ -23,9 +26,14 @@
 //!
 //! Those in-model assertions compile away when the feature is off.
 
-use crate::replay::{record_replay, ReplayCursor};
-use crate::timing::{CoreStep, InterpSource, OpClass, StepSource};
+use crate::measure::task_descs;
+use crate::replay::{record_replay, MachineOutcomes, ReplayCursor, TaskOutcomes};
+use crate::timing::{CoreStep, InterpSource, NextTaskPredictor, OpClass, StepSource, TimingConfig};
 use crate::trace::TraceError;
+use multiscalar_core::automata::LastExitHysteresis;
+use multiscalar_core::dolc::Dolc;
+use multiscalar_core::history::PathPredictor;
+use multiscalar_core::predictor::TaskPredictor;
 use multiscalar_isa::Program;
 use multiscalar_taskform::TaskProgram;
 
@@ -34,9 +42,11 @@ use multiscalar_taskform::TaskProgram;
 ///
 /// The feeds differ harmlessly on don't-care fields: the interpreter puts
 /// the instruction's own pc in `branch_pc` for every step while the replay
-/// stores branch pcs only for intra-task branches, so `branch_pc`/`taken`
-/// are compared only for [`OpClass::Branch`] and `mem_addr` only for memory
-/// operations.
+/// stores branch pcs only for intra-task branches, so `branch_pc`, `taken`
+/// and `intra_miss` are compared only for [`OpClass::Branch`], and
+/// `mem_addr` and `arb_full` only for memory operations. Boundaries are
+/// compared whole: the crossing, then the resolved miss, gated bit and
+/// predicted target.
 fn steps_agree(a: &CoreStep, b: &CoreStep) -> bool {
     if (a.src1, a.src2, a.dest, a.class, a.halt) != (b.src1, b.src2, b.dest, b.class, b.halt) {
         return false;
@@ -45,16 +55,29 @@ fn steps_agree(a: &CoreStep, b: &CoreStep) -> bool {
         return false;
     }
     match a.class {
-        OpClass::Load | OpClass::Store => a.mem_addr == b.mem_addr,
-        OpClass::Branch => a.branch_pc == b.branch_pc && a.taken == b.taken,
+        OpClass::Load | OpClass::Store => (a.mem_addr, a.arb_full) == (b.mem_addr, b.arb_full),
+        OpClass::Branch => {
+            (a.branch_pc, a.taken, a.intra_miss) == (b.branch_pc, b.taken, b.intra_miss)
+        }
         OpClass::Other => true,
     }
 }
 
+/// The real predictor both feeds resolve their boundaries with: PATH
+/// LEH-2 with a CTTB and a RAS.
+fn sanitize_predictor() -> TaskPredictor<PathPredictor<LastExitHysteresis<2>>> {
+    TaskPredictor::path(Dolc::new(4, 4, 6, 6, 2), Dolc::new(4, 3, 4, 4, 2), 16)
+}
+
 /// Records `program`'s execution, then re-executes it while walking the
 /// recording in lockstep, asserting the two step feeds agree everywhere —
-/// in particular at every task boundary. Returns the number of steps
-/// checked (= committed instructions).
+/// in particular at every task boundary. Both feeds resolve their outcomes
+/// under `config` and a real PATH predictor: the interpreter steps the
+/// outcome model inline, the replay reads the streams
+/// [`MachineOutcomes::resolve`] and [`TaskOutcomes::resolve`] produce, so
+/// every intra-miss, ARB-full, miss and gated bit and every predicted
+/// target is checked at its step. Returns the number of steps checked
+/// (= committed instructions).
 ///
 /// # Errors
 ///
@@ -64,15 +87,35 @@ fn steps_agree(a: &CoreStep, b: &CoreStep) -> bool {
 /// # Panics
 ///
 /// Panics on the first step where the feeds disagree — that is the
-/// sanitizer finding a bug in the recording or the cursor.
+/// sanitizer finding a bug in the recording, the outcome streams or the
+/// cursor.
 pub fn check_replay_agreement(
     program: &Program,
     tasks: &TaskProgram,
+    config: &TimingConfig,
     max_steps: u64,
 ) -> Result<u64, TraceError> {
     let replay = record_replay(program, tasks, max_steps)?;
-    let mut interp = InterpSource::new(program, tasks, max_steps);
-    let mut cursor = ReplayCursor::new(&replay);
+    let descs = task_descs(tasks);
+    let machine = MachineOutcomes::resolve(&replay, config);
+    let mut replay_pred = sanitize_predictor();
+    let task = TaskOutcomes::resolve(
+        &replay,
+        &descs,
+        Some(&mut replay_pred as &mut dyn NextTaskPredictor),
+        config,
+        true,
+    );
+    let mut interp_pred = sanitize_predictor();
+    let mut interp = InterpSource::new(
+        program,
+        tasks,
+        &descs,
+        Some(&mut interp_pred as &mut dyn NextTaskPredictor),
+        config,
+        max_steps,
+    );
+    let mut cursor = ReplayCursor::new(&replay, &machine, &task);
     let mut steps = 0u64;
     loop {
         let a = interp.next_step()?;
@@ -120,7 +163,7 @@ mod tests {
         b.end_function();
         let p = b.finish(main).unwrap();
         let tasks = TaskFormer::default().form(&p).unwrap();
-        let steps = check_replay_agreement(&p, &tasks, 1_000_000).unwrap();
+        let steps = check_replay_agreement(&p, &tasks, &TimingConfig::paper(), 1_000_000).unwrap();
         assert!(steps > 300, "the loop body runs 300 times: {steps}");
     }
 }

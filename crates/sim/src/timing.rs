@@ -24,19 +24,29 @@
 //!
 //! # Two step feeds, one core
 //!
-//! The cycle-accounting loop (`simulate_core`) is generic over a
-//! `StepSource` that feeds it one instruction's timing-relevant facts at
-//! a time. [`simulate`] drives it from the interpreter (re-executing the
-//! program); [`crate::replay::simulate_replay`] drives it from a
-//! pre-recorded [`crate::replay::InstrReplay`] with zero re-interpretation.
-//! Because both feeds produce the same step stream, the two entry points
-//! return **bit-identical** [`TimingResult`]s by construction.
+//! The model is split in two. The functional outcome model
+//! (`crate::outcome`) steps the intra-task predictor, the ARB, the
+//! [`NextTaskPredictor`] and the confidence estimator in program order —
+//! paper §3.1's idealized, immediate updates make every outcome a function
+//! of the execution alone. The cycle-accounting loop (`simulate_core`)
+//! consumes the resolved outcomes: it holds no predictor, no bimodal or
+//! confidence table and no ARB, only the ring clocks, the register
+//! scoreboard and the store-time table that detects memory-order
+//! violations.
+//!
+//! The loop is generic over a `StepSource` that feeds it one instruction's
+//! timing-relevant facts and outcomes at a time. [`simulate`] drives it
+//! from the interpreter, stepping the outcome model inline (re-executing
+//! the program); [`crate::replay::simulate_replay`] drives it from a
+//! pre-recorded [`crate::replay::InstrReplay`] and outcome streams resolved
+//! once ahead of the walk, with zero re-interpretation. Because both feeds
+//! produce the same step stream, the two entry points return
+//! **bit-identical** [`TimingResult`]s by construction.
 
-use crate::arb::{Arb, ArbConfig, ArbEvent};
+use crate::arb::ArbConfig;
 use crate::metrics::{BoundaryEvent, FrontierCause, MetricsSink, NoopSink, StallCause};
-use multiscalar_core::confidence::ConfidenceEstimator;
+use crate::outcome::{MachineModel, TaskModel};
 use multiscalar_core::predictor::{ExitPredictor, TaskDesc, TaskPredictor};
-use multiscalar_core::scalar::{Bimodal, McFarling, TwoLevelGag};
 use multiscalar_isa::{Addr, ExitIndex, Instruction, Interpreter, Program, NUM_REGS};
 use multiscalar_taskform::{TaskId, TaskProgram};
 
@@ -53,40 +63,6 @@ pub enum IntraPredictorKind {
     Gshare,
     /// McFarling combining predictor.
     McFarling,
-}
-
-/// Runtime state for the selected intra-task predictor.
-#[derive(Debug, Clone)]
-enum IntraState {
-    Bimodal(Bimodal),
-    Gshare(TwoLevelGag),
-    McFarling(McFarling),
-}
-
-impl IntraState {
-    fn new(kind: IntraPredictorKind, bits: u32) -> IntraState {
-        match kind {
-            IntraPredictorKind::Bimodal => IntraState::Bimodal(Bimodal::new(bits)),
-            IntraPredictorKind::Gshare => IntraState::Gshare(TwoLevelGag::new(bits, bits.min(12))),
-            IntraPredictorKind::McFarling => IntraState::McFarling(McFarling::new(bits)),
-        }
-    }
-
-    fn predict(&self, pc: Addr) -> bool {
-        match self {
-            IntraState::Bimodal(p) => p.predict(pc),
-            IntraState::Gshare(p) => p.predict(pc),
-            IntraState::McFarling(p) => p.predict(pc),
-        }
-    }
-
-    fn update(&mut self, pc: Addr, taken: bool) {
-        match self {
-            IntraState::Bimodal(p) => p.update(pc, taken),
-            IntraState::Gshare(p) => p.update(pc, taken),
-            IntraState::McFarling(p) => p.update(pc, taken),
-        }
-    }
 }
 
 /// How register values travel between tasks on the ring.
@@ -125,11 +101,13 @@ pub struct TimingConfig {
     pub intra_predictor: IntraPredictorKind,
     /// Inter-task register forwarding model.
     pub forwarding: ForwardingModel,
-    /// Memory disambiguation hardware; `None` models an ideal, conflict-free
-    /// memory system.
+    /// ARB bank geometry; `None` models unbounded banks that never
+    /// overflow. Memory-order violations are detected either way, by the
+    /// core's store-time check.
     pub arb: Option<ArbConfig>,
-    /// Cycles lost when the ARB detects a memory-order violation (squash of
-    /// the offending load's task tail and re-execution).
+    /// Cycles lost on a memory-order violation — a load that issued before
+    /// an older task's store to the same word (squash of the offending
+    /// load's task tail and re-execution).
     pub violation_penalty: u64,
     /// Cycles the machine stalls when an ARB bank overflows.
     pub arb_full_penalty: u64,
@@ -229,13 +207,13 @@ impl TimingConfig {
         self
     }
 
-    /// Sets the ARB geometry (`None` = ideal, conflict-free memory).
+    /// Sets the ARB geometry (`None` = banks that never overflow).
     pub fn arb(mut self, v: Option<ArbConfig>) -> TimingConfig {
         self.arb = v;
         self
     }
 
-    /// Sets the ARB memory-order violation penalty.
+    /// Sets the memory-order violation penalty.
     pub fn violation_penalty(mut self, v: u64) -> TimingConfig {
         self.violation_penalty = v;
         self
@@ -267,7 +245,8 @@ pub struct TimingResult {
     pub task_mispredicts: u64,
     /// Intra-task conditional-branch mispredictions.
     pub intra_mispredicts: u64,
-    /// Memory-order violations detected by the ARB model.
+    /// Memory-order violations: loads that issued before an older task's
+    /// store to the same word (the core's store-time check).
     pub arb_violations: u64,
     /// References stalled by ARB bank overflow.
     pub arb_full_stalls: u64,
@@ -366,7 +345,7 @@ impl OpClass {
 }
 
 /// A pre-resolved task-boundary crossing attached to the instruction that
-/// caused it.
+/// caused it, with its resolved inter-task prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BoundaryStep {
     /// Static id of the retiring task (index into the `descs` slice).
@@ -375,9 +354,18 @@ pub(crate) struct BoundaryStep {
     pub exit: ExitIndex,
     /// Entry address of the task executed next.
     pub next: Addr,
+    /// The predicted next-task address was wrong (never under perfect
+    /// prediction).
+    pub miss: bool,
+    /// Confidence gating withheld speculation at this boundary.
+    pub gated: bool,
+    /// The predicted next-task address, read only by enabled sinks; the
+    /// replay cursor reports `None` when its run keeps no target stream.
+    pub predicted: Option<Addr>,
 }
 
-/// One instruction's timing-relevant facts, as fed to [`simulate_core`].
+/// One instruction's timing-relevant facts and resolved outcomes, as fed
+/// to [`simulate_core`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CoreStep {
     /// First/second source register ([`NO_REG`] when absent).
@@ -390,10 +378,16 @@ pub(crate) struct CoreStep {
     pub class: OpClass,
     /// Word address, valid iff `class` is `Load` or `Store`.
     pub mem_addr: u32,
+    /// The ARB bank of the reference was full, valid iff `class` is `Load`
+    /// or `Store`.
+    pub arb_full: bool,
     /// The branch's own address, valid iff `class` is `Branch`.
     pub branch_pc: Addr,
     /// Whether the branch was taken, valid iff `class` is `Branch`.
     pub taken: bool,
+    /// The intra-task predictor missed the branch, valid iff `class` is
+    /// `Branch`.
+    pub intra_miss: bool,
     /// `true` when this instruction halted the machine.
     pub halt: bool,
     /// The boundary this instruction crossed, if any.
@@ -401,43 +395,53 @@ pub(crate) struct CoreStep {
 }
 
 /// A stream of [`CoreStep`]s driving [`simulate_core`] — the interpreter
-/// (legacy) or a recorded replay cursor.
+/// (the oracle) or a recorded replay cursor.
 pub(crate) trait StepSource {
     /// Produces the next instruction's step, or the error that ended the
     /// run (execution fault, unmatched boundary, step-budget exhaustion).
     fn next_step(&mut self) -> Result<CoreStep, TraceError>;
 }
 
-/// The interpreter-backed [`StepSource`]: executes the program and resolves
-/// task boundaries on the fly, exactly as trace generation does.
-pub(crate) struct InterpSource<'a> {
+/// The interpreter-backed [`StepSource`]: executes the program, resolves
+/// task boundaries on the fly exactly as trace generation does, and steps
+/// the outcome model inline.
+pub(crate) struct InterpSource<'a, 'p> {
     interp: Interpreter<'a>,
     tasks: &'a TaskProgram,
+    descs: &'a [TaskDesc],
     cur_task: TaskId,
     steps: u64,
     max_steps: u64,
+    machine: MachineModel,
+    task: TaskModel<'p>,
 }
 
-impl<'a> InterpSource<'a> {
+impl<'a, 'p> InterpSource<'a, 'p> {
     pub(crate) fn new(
         program: &'a Program,
         tasks: &'a TaskProgram,
+        descs: &'a [TaskDesc],
+        predictor: Option<&'p mut dyn NextTaskPredictor>,
+        config: &TimingConfig,
         max_steps: u64,
-    ) -> InterpSource<'a> {
+    ) -> InterpSource<'a, 'p> {
         let cur_task = tasks
             .task_entered_at(program.entry_point())
             .expect("entry starts a task");
         InterpSource {
             interp: Interpreter::new(program),
             tasks,
+            descs,
             cur_task,
             steps: 0,
             max_steps,
+            machine: MachineModel::new(config),
+            task: TaskModel::new(predictor, config),
         }
     }
 }
 
-impl StepSource for InterpSource<'_> {
+impl StepSource for InterpSource<'_, '_> {
     fn next_step(&mut self) -> Result<CoreStep, TraceError> {
         if self.steps >= self.max_steps {
             return Err(TraceError::StepLimit);
@@ -460,6 +464,10 @@ impl StepSource for InterpSource<'_> {
             _ => OpClass::Other,
         };
         let mem_addr = info.mem_addr.unwrap_or(0);
+        let arb_full = match class {
+            OpClass::Load | OpClass::Store => self.machine.mem(mem_addr, class == OpClass::Load),
+            _ => false,
+        };
 
         if self.interp.is_halted() {
             return Ok(CoreStep {
@@ -468,8 +476,10 @@ impl StepSource for InterpSource<'_> {
                 dest,
                 class,
                 mem_addr,
+                arb_full,
                 branch_pc: info.pc,
                 taken: false,
+                intra_miss: false,
                 halt: true,
                 boundary: None,
             });
@@ -484,6 +494,7 @@ impl StepSource for InterpSource<'_> {
             };
 
         let mut taken = false;
+        let mut intra_miss = false;
         let boundary = match crossed {
             Some(exit) => {
                 let retiring = self.cur_task;
@@ -501,15 +512,23 @@ impl StepSource for InterpSource<'_> {
                         })
                     }
                 };
+                let outcome = self
+                    .task
+                    .resolve(&self.descs[retiring.index()], exit, next_pc);
+                self.machine.boundary();
                 Some(BoundaryStep {
                     task: retiring.0,
                     exit,
                     next: next_pc,
+                    miss: outcome.miss,
+                    gated: outcome.gated,
+                    predicted: outcome.predicted,
                 })
             }
             None => {
                 if class == OpClass::Branch {
                     taken = next_pc != info.pc.next();
+                    intra_miss = self.machine.branch(info.pc, taken);
                 }
                 // Sanity: control must remain within the current task.
                 if self.tasks.task_at(next_pc) != Some(self.cur_task) {
@@ -529,8 +548,10 @@ impl StepSource for InterpSource<'_> {
             dest,
             class,
             mem_addr,
+            arb_full,
             branch_pc: info.pc,
             taken,
+            intra_miss,
             halt: false,
             boundary,
         })
@@ -541,398 +562,291 @@ impl StepSource for InterpSource<'_> {
 // The cycle-accounting core
 // ---------------------------------------------------------------------------
 
-/// All per-run mutable state of the cycle-accounting loop that
-/// [`simulate_core`] drives: one state per run, fed one step at a time.
-pub(crate) struct CoreState<'p> {
-    intra: IntraState,
-    result: TimingResult,
-    confidence: Option<ConfidenceEstimator>,
-    /// Memory disambiguation: the ARB tracks in-flight references per ring
-    /// stage; time-based detection catches loads that would have issued
-    /// before an older in-flight task's store to the same address.
-    arb: Option<Arb>,
-    /// addr -> `issue_time << TASK_IDX_BITS | task`, direct-indexed by word
-    /// address: the key space is bounded by the interpreter's memory, and
-    /// this is consulted on every memory instruction. Packing the pair into
-    /// one word halves the footprint of the model's hottest random-access
-    /// array (the cache misses here dominate the per-step cost). The
-    /// all-zero initial state means "never stored": real stores record
-    /// issue times >= 2, so a zeroed slot can never satisfy
-    /// `store_time > issue_time` — and the zero-filled allocation is served
-    /// from fresh zero pages, so words no store ever touches cost neither a
-    /// memset nor a page.
-    last_store: Vec<u64>,
-    /// Upper bound on every recorded store's issue time. A load whose own
-    /// issue time has already passed this bound cannot possibly trip the
-    /// `store_time > issue_time` violation check, so the (cache-hostile)
-    /// `last_store` read is skipped — the filter is conservative, never
-    /// suppressing a real violation.
-    max_store_time: u64,
-    /// Global register scoreboard: cycle each register's value is ready
-    /// (exact production time). Under release-at-end forwarding, younger
-    /// tasks instead see `released`, updated when the producing task ends.
-    avail: [u64; NUM_REGS],
-    released: [u64; NUM_REGS],
-    written_this_task: u32,
+/// The timing loop proper, generic over the step feed and the sink.
+/// Monomorphised for the interpreter and the replay cursor; both
+/// instantiations execute the same cycle arithmetic on the same step
+/// stream, which is what makes [`simulate`] and
+/// [`crate::replay::simulate_replay`] bit-identical. Every prediction
+/// arrives resolved on the step, so the loop holds no predictor, no
+/// confidence table and no ARB — only the ring, the register scoreboard
+/// and the store-time table, all in locals.
+///
+/// Generic over the [`MetricsSink`] so the [`NoopSink`] instantiation
+/// compiles to exactly the uninstrumented loop (every hook is guarded by
+/// the const `M::ENABLED`).
+pub(crate) fn simulate_core<S: StepSource, M: MetricsSink>(
+    source: &mut S,
+    config: &TimingConfig,
+    mem_words: usize,
+    sink: &mut M,
+) -> Result<TimingResult, TraceError> {
+    let TimingConfig {
+        n_units,
+        issue_width,
+        load_latency,
+        dispatch_cost,
+        squash_penalty,
+        intra_penalty,
+        forwarding,
+        violation_penalty,
+        arb_full_penalty,
+        ..
+    } = *config;
+    let mut result = TimingResult {
+        instructions: 0,
+        cycles: 0,
+        dynamic_tasks: 0,
+        task_mispredicts: 0,
+        intra_mispredicts: 0,
+        arb_violations: 0,
+        arb_full_stalls: 0,
+        gated_boundaries: 0,
+    };
+    // addr -> `issue_time << TASK_IDX_BITS | task`, direct-indexed by word
+    // address: the key space is bounded by the interpreter's memory, and
+    // this is consulted on every memory instruction. Packing the pair into
+    // one word halves the footprint of the model's hottest random-access
+    // array (the cache misses here dominate the per-step cost). The
+    // all-zero initial state means "never stored": real stores record
+    // issue times >= 2, so a zeroed slot can never satisfy
+    // `store_time > issue_time` — and the zero-filled allocation is served
+    // from fresh zero pages, so words no store ever touches cost neither a
+    // memset nor a page.
+    let mut last_store = vec![0u64; mem_words];
+    // Upper bound on every recorded store's issue time. A load whose own
+    // issue time has already passed this bound cannot possibly trip the
+    // `store_time > issue_time` violation check, so the (cache-hostile)
+    // `last_store` read is skipped — the filter is conservative, never
+    // suppressing a real violation.
+    let mut max_store_time = 0u64;
+    // Global register scoreboard: cycle each register's value is ready
+    // (exact production time). Under release-at-end forwarding, younger
+    // tasks instead see `released`, updated when the producing task ends.
+    let mut avail = [0u64; NUM_REGS];
+    let mut released = [0u64; NUM_REGS];
+    let mut written_this_task = 0u32;
     // Ring state.
-    unit_free: Vec<u64>,
-    prev_commit: u64,
-    // Current task instance state.
-    task_index: u64,
-    /// `task_index % n_units`, maintained incrementally (a hardware divide
-    /// per boundary is measurable at replay speeds).
-    cur_unit: usize,
-    dispatch: u64,
-    t_issue: u64,
-    slots: u32,
-    complete: u64,
-    predictor: Option<&'p mut dyn NextTaskPredictor>,
-}
-
-impl<'p> CoreState<'p> {
-    pub(crate) fn new(
-        predictor: Option<&'p mut dyn NextTaskPredictor>,
-        config: &TimingConfig,
-        mem_words: usize,
-    ) -> CoreState<'p> {
-        let mut arb = config.arb.map(|mut c| {
-            c.stages = c.stages.max(config.n_units);
-            Arb::new(c)
-        });
-        if let Some(arb) = arb.as_mut() {
-            arb.begin_task(0);
-        }
-        let dispatch = 1u64; // first dispatch
-        let t_issue = dispatch + 1;
-        CoreState {
-            intra: IntraState::new(config.intra_predictor, config.bimodal_bits),
-            result: TimingResult {
-                instructions: 0,
-                cycles: 0,
-                dynamic_tasks: 0,
-                task_mispredicts: 0,
-                intra_mispredicts: 0,
-                arb_violations: 0,
-                arb_full_stalls: 0,
-                gated_boundaries: 0,
-            },
-            confidence: config
-                .confidence_gate
-                .map(|t| ConfidenceEstimator::new(12, t)),
-            arb,
-            last_store: vec![0; mem_words],
-            max_store_time: 0,
-            avail: [0u64; NUM_REGS],
-            released: [0u64; NUM_REGS],
-            written_this_task: 0,
-            unit_free: vec![0u64; config.n_units],
-            prev_commit: 0,
-            task_index: 0,
-            cur_unit: 0,
-            dispatch,
-            t_issue,
-            slots: 0,
-            complete: t_issue,
-            predictor,
-        }
+    let mut unit_free = vec![0u64; n_units];
+    let mut prev_commit = 0u64;
+    // Current task instance state. `cur_unit` is `task_index % n_units`,
+    // maintained incrementally (a hardware divide per boundary is
+    // measurable at replay speeds).
+    let mut task_index = 0u64;
+    let mut cur_unit = 0usize;
+    let mut dispatch = 1u64; // first dispatch
+    let mut t_issue = dispatch + 1;
+    let mut slots = 0u32;
+    let mut complete = t_issue;
+    if M::ENABLED {
+        sink.frontier(0, complete, FrontierCause::Startup);
     }
 
-    /// Reports the initial pipeline-fill frontier (dispatch of the first
-    /// task) to `sink`. Callers invoke it once, before the first step.
-    pub(crate) fn bootstrap<M: MetricsSink>(&self, sink: &mut M) {
-        if M::ENABLED {
-            sink.frontier(0, self.complete, FrontierCause::Startup);
-        }
-    }
-
-    /// Accounts one instruction. The caller stops feeding steps after the
-    /// one with `halt` set. Generic over the [`MetricsSink`] so the
-    /// [`NoopSink`] instantiation compiles to exactly the uninstrumented
-    /// loop (every hook is guarded by the const `M::ENABLED`).
-    pub(crate) fn on_step<M: MetricsSink>(
-        &mut self,
-        step: &CoreStep,
-        descs: &[TaskDesc],
-        config: &TimingConfig,
-        sink: &mut M,
-    ) {
-        self.result.instructions += 1;
+    loop {
+        let step = source.next_step()?;
+        result.instructions += 1;
 
         // --- issue timing for this instruction --------------------------
-        let mut ready = self.t_issue;
+        let mut ready = t_issue;
         for r in [step.src1, step.src2] {
             if r == NO_REG {
                 continue;
             }
-            let t = match config.forwarding {
-                ForwardingModel::Eager => self.avail[r as usize],
+            let t = match forwarding {
+                ForwardingModel::Eager => avail[r as usize],
                 ForwardingModel::ReleaseAtEnd => {
                     // Values produced by this task bypass locally; values
                     // from older tasks arrive at their release time.
-                    if self.written_this_task & (1 << r) != 0 {
-                        self.avail[r as usize]
+                    if written_this_task & (1 << r) != 0 {
+                        avail[r as usize]
                     } else {
-                        self.released[r as usize]
+                        released[r as usize]
                     }
                 }
             };
             ready = ready.max(t);
         }
-        if ready > self.t_issue {
+        if ready > t_issue {
             if M::ENABLED {
-                sink.issue_stall(StallCause::Dataflow, ready - self.t_issue);
+                sink.issue_stall(StallCause::Dataflow, ready - t_issue);
             }
-            self.t_issue = ready;
-            self.slots = 0;
+            t_issue = ready;
+            slots = 0;
         }
-        let issue_time = self.t_issue;
-        self.slots += 1;
-        if self.slots >= config.issue_width {
-            self.t_issue += 1;
-            self.slots = 0;
+        let issue_time = t_issue;
+        slots += 1;
+        if slots >= issue_width {
+            t_issue += 1;
+            slots = 0;
         }
         let latency = match step.class {
-            OpClass::Load => config.load_latency,
+            OpClass::Load => load_latency,
             _ => 1,
         };
 
         // --- memory disambiguation -----------------------------------------
         if matches!(step.class, OpClass::Load | OpClass::Store) {
-            let ea = step.mem_addr;
-            let is_load = step.class == OpClass::Load;
-            if is_load {
+            let ea = step.mem_addr as usize;
+            if step.class == OpClass::Load {
                 // Would this load have issued before an older in-flight
                 // store to the same address produced its value?
-                if self.max_store_time > issue_time {
-                    let packed = self.last_store[ea as usize];
+                if max_store_time > issue_time {
+                    let packed = last_store[ea];
                     let store_time = packed >> TASK_IDX_BITS;
                     let store_task = packed & TASK_IDX_MASK;
-                    if store_task < self.task_index && store_time > issue_time {
+                    if store_task < task_index && store_time > issue_time {
                         // Violation: the load's task re-executes from here.
-                        self.result.arb_violations += 1;
-                        self.t_issue = store_time + config.violation_penalty;
-                        self.slots = 0;
-                        let to = self.complete.max(self.t_issue);
+                        result.arb_violations += 1;
+                        t_issue = store_time + violation_penalty;
+                        slots = 0;
+                        let to = complete.max(t_issue);
                         if M::ENABLED {
-                            sink.frontier(self.complete, to, FrontierCause::Violation);
+                            sink.frontier(complete, to, FrontierCause::Violation);
                         }
-                        self.complete = to;
+                        complete = to;
                     }
                 }
             } else {
                 assert!(
-                    issue_time >> (64 - TASK_IDX_BITS) == 0 && self.task_index <= TASK_IDX_MASK,
+                    issue_time >> (64 - TASK_IDX_BITS) == 0 && task_index <= TASK_IDX_MASK,
                     "last_store packing overflow"
                 );
-                self.last_store[ea as usize] = issue_time << TASK_IDX_BITS | self.task_index;
-                self.max_store_time = self.max_store_time.max(issue_time);
+                last_store[ea] = issue_time << TASK_IDX_BITS | task_index;
+                max_store_time = max_store_time.max(issue_time);
             }
-            if let Some(arb) = self.arb.as_mut() {
-                let ev = if is_load {
-                    arb.load(ea, self.task_index)
-                } else {
-                    arb.store(ea, self.task_index)
-                };
-                if ev == ArbEvent::Full {
-                    // No free entry: stall until the head commits.
-                    self.result.arb_full_stalls += 1;
-                    if M::ENABLED {
-                        sink.issue_stall(StallCause::ArbFull, config.arb_full_penalty);
-                    }
-                    self.t_issue += config.arb_full_penalty;
-                    self.slots = 0;
+            if step.arb_full {
+                // No free ARB entry: stall until the head commits.
+                result.arb_full_stalls += 1;
+                if M::ENABLED {
+                    sink.issue_stall(StallCause::ArbFull, arb_full_penalty);
                 }
+                t_issue += arb_full_penalty;
+                slots = 0;
             }
         }
         if step.dest != NO_REG {
-            self.avail[step.dest as usize] = issue_time + latency;
-            self.written_this_task |= 1 << step.dest;
+            avail[step.dest as usize] = issue_time + latency;
+            written_this_task |= 1 << step.dest;
         }
         let done = issue_time + latency;
-        if done > self.complete {
+        if done > complete {
             if M::ENABLED {
-                sink.frontier(self.complete, done, FrontierCause::Issue);
+                sink.frontier(complete, done, FrontierCause::Issue);
             }
-            self.complete = done;
+            complete = done;
         }
 
-        if step.halt {
-            return;
-        }
-
-        // --- task boundary? ----------------------------------------------
-        match step.boundary {
-            Some(bound) => {
-                // Inter-task prediction for this boundary.
-                let next_pc = bound.next;
-                let desc = &descs[bound.task as usize];
-                let mut gated = false;
-                let mut predicted_pc = Some(next_pc); // perfect predicts `next`
-                let miss = match self.predictor.as_deref_mut() {
-                    Some(p) => {
-                        let predicted = p.predict_next(desc);
-                        predicted_pc = predicted;
-                        p.resolve(desc, bound.exit, next_pc);
-                        let miss = predicted != Some(next_pc);
-                        if let Some(c) = self.confidence.as_mut() {
-                            gated = !c.high_confidence(desc.entry());
-                            c.update(desc.entry(), !miss);
-                        }
-                        miss
-                    }
-                    None => false, // perfect
-                };
-                self.result.dynamic_tasks += 1;
-                self.result.task_mispredicts += miss as u64;
-                self.result.gated_boundaries += gated as u64;
-
-                // Retire the finished task: release its created registers
-                // (the header's create mask, §2.1) to younger tasks.
-                if config.forwarding == ForwardingModel::ReleaseAtEnd {
-                    for (r, rel) in self.released.iter_mut().enumerate() {
-                        if self.written_this_task & (1 << r) != 0 {
-                            *rel = (*rel).max(self.complete);
-                        }
-                    }
-                    self.written_this_task = 0;
-                }
-                let commit = self.complete.max(self.prev_commit);
-                // Sanitizer: commit is strictly FIFO, so the commit clock
-                // and every unit's free time can only move forward.
-                #[cfg(feature = "sanitize")]
-                {
-                    assert!(
-                        commit >= self.prev_commit,
-                        "sanitize: commit time went backwards ({commit} < {})",
-                        self.prev_commit
-                    );
-                    assert!(
-                        commit + 1 >= self.unit_free[self.cur_unit],
-                        "sanitize: unit {} free time went backwards ({} -> {})",
-                        self.cur_unit,
-                        self.unit_free[self.cur_unit],
-                        commit + 1
-                    );
-                }
-                self.unit_free[self.cur_unit] = commit + 1;
-
-                // Advance the ARB stage window with the ring: commit is
-                // strictly FIFO, so the head task's entries are freed at
-                // every task retirement (not only when the window fills).
-                if let Some(arb) = self.arb.as_mut() {
-                    arb.commit_head();
-                    arb.begin_task(self.task_index + 1);
-                }
-
-                // Dispatch the next task. The boundary just resolved tells
-                // us how the *next* task's dispatch went on real hardware:
-                self.task_index += 1;
-                let next_unit = if self.cur_unit + 1 == config.n_units {
-                    0
-                } else {
-                    self.cur_unit + 1
-                };
-                self.cur_unit = next_unit;
-                let next_dispatch = if miss && !gated {
-                    // Mispredicted: the wrong-path work is squashed when
-                    // this task completes and reveals its actual exit; the
-                    // correct next task dispatches after recovery.
-                    self.complete + config.squash_penalty
-                } else if gated {
-                    // The sequencer withheld speculation on a
-                    // low-confidence prediction: the next task starts once
-                    // this boundary resolves — no squash, but no overlap.
-                    self.complete.max(self.unit_free[next_unit])
-                } else {
-                    // Correct speculation: one prediction per
-                    // `dispatch_cost` cycles, subject to a free unit.
-                    (self.dispatch + config.dispatch_cost).max(self.unit_free[next_unit])
-                };
-                self.prev_commit = commit;
-                self.dispatch = next_dispatch.max(self.dispatch + config.dispatch_cost);
-                // The next task issues on its own ring unit: its issue
-                // clock starts when it is dispatched and its unit is free,
-                // independent of the retiring task's issue cursor.
-                self.t_issue = (self.dispatch + 1).max(self.unit_free[next_unit]);
-                self.slots = 0;
-                let to = self.complete.max(self.t_issue);
-                if M::ENABLED {
-                    let cause = if miss && !gated {
-                        FrontierCause::Squash
-                    } else if gated {
-                        FrontierCause::Gated
-                    } else {
-                        FrontierCause::Dispatch
-                    };
-                    sink.frontier(self.complete, to, cause);
-                    sink.boundary(&BoundaryEvent {
-                        index: self.result.dynamic_tasks - 1,
-                        task: bound.task,
-                        exit: bound.exit.as_u8(),
-                        next: next_pc.0,
-                        predicted: predicted_pc.map(|a| a.0),
-                        miss,
-                        gated,
-                        complete: self.complete,
-                        commit,
-                        dispatch: self.dispatch,
-                    });
-                }
-                self.complete = to;
-            }
-            None => {
-                // Still inside the task: internal conditional branches go
-                // through the intra-task bimodal predictor.
-                if step.class == OpClass::Branch {
-                    let predicted = self.intra.predict(step.branch_pc);
-                    if predicted != step.taken {
-                        self.result.intra_mispredicts += 1;
-                        let redirect = issue_time + 1 + config.intra_penalty;
-                        if M::ENABLED {
-                            sink.issue_stall(
-                                StallCause::IntraMispredict,
-                                redirect.saturating_sub(self.t_issue),
-                            );
-                        }
-                        self.t_issue = redirect;
-                        self.slots = 0;
-                    }
-                    self.intra.update(step.branch_pc, step.taken);
-                }
-            }
-        }
-    }
-
-    /// Finalises the run and returns its [`TimingResult`].
-    pub(crate) fn finish(self) -> TimingResult {
-        let mut result = self.result;
-        result.cycles = self.complete.max(self.prev_commit);
-        result
-    }
-}
-
-/// The timing loop proper, generic over the step feed. Monomorphised for
-/// the interpreter and the replay cursor; both instantiations execute the
-/// same cycle arithmetic on the same step stream, which is what makes
-/// [`simulate`] and [`crate::replay::simulate_replay`] bit-identical.
-pub(crate) fn simulate_core<S: StepSource, M: MetricsSink>(
-    source: &mut S,
-    descs: &[TaskDesc],
-    predictor: Option<&mut dyn NextTaskPredictor>,
-    config: &TimingConfig,
-    mem_words: usize,
-    sink: &mut M,
-) -> Result<TimingResult, TraceError> {
-    let mut state = CoreState::new(predictor, config, mem_words);
-    state.bootstrap(sink);
-    loop {
-        let step = source.next_step()?;
-        state.on_step(&step, descs, config, sink);
         if step.halt {
             break;
         }
+
+        // --- task boundary? ----------------------------------------------
+        let Some(bound) = step.boundary else {
+            // Still inside the task: a mispredicted internal conditional
+            // branch redirects the unit's issue.
+            if step.class == OpClass::Branch && step.intra_miss {
+                result.intra_mispredicts += 1;
+                let redirect = issue_time + 1 + intra_penalty;
+                if M::ENABLED {
+                    sink.issue_stall(
+                        StallCause::IntraMispredict,
+                        redirect.saturating_sub(t_issue),
+                    );
+                }
+                t_issue = redirect;
+                slots = 0;
+            }
+            continue;
+        };
+        let (miss, gated) = (bound.miss, bound.gated);
+        result.dynamic_tasks += 1;
+        result.task_mispredicts += miss as u64;
+        result.gated_boundaries += gated as u64;
+
+        // Retire the finished task: release its created registers (the
+        // header's create mask, §2.1) to younger tasks.
+        if forwarding == ForwardingModel::ReleaseAtEnd {
+            for (r, rel) in released.iter_mut().enumerate() {
+                if written_this_task & (1 << r) != 0 {
+                    *rel = (*rel).max(complete);
+                }
+            }
+            written_this_task = 0;
+        }
+        let commit = complete.max(prev_commit);
+        // Sanitizer: commit is strictly FIFO, so the commit clock and every
+        // unit's free time can only move forward.
+        #[cfg(feature = "sanitize")]
+        {
+            assert!(
+                commit >= prev_commit,
+                "sanitize: commit time went backwards ({commit} < {prev_commit})"
+            );
+            assert!(
+                commit + 1 >= unit_free[cur_unit],
+                "sanitize: unit {cur_unit} free time went backwards ({} -> {})",
+                unit_free[cur_unit],
+                commit + 1
+            );
+        }
+        unit_free[cur_unit] = commit + 1;
+
+        // Dispatch the next task. The boundary just resolved tells us how
+        // the *next* task's dispatch went on real hardware:
+        task_index += 1;
+        cur_unit = if cur_unit + 1 == n_units {
+            0
+        } else {
+            cur_unit + 1
+        };
+        let next_dispatch = if miss && !gated {
+            // Mispredicted: the wrong-path work is squashed when this task
+            // completes and reveals its actual exit; the correct next task
+            // dispatches after recovery.
+            complete + squash_penalty
+        } else if gated {
+            // The sequencer withheld speculation on a low-confidence
+            // prediction: the next task starts once this boundary
+            // resolves — no squash, but no overlap.
+            complete.max(unit_free[cur_unit])
+        } else {
+            // Correct speculation: one prediction per `dispatch_cost`
+            // cycles, subject to a free unit.
+            (dispatch + dispatch_cost).max(unit_free[cur_unit])
+        };
+        prev_commit = commit;
+        dispatch = next_dispatch.max(dispatch + dispatch_cost);
+        // The next task issues on its own ring unit: its issue clock starts
+        // when it is dispatched and its unit is free, independent of the
+        // retiring task's issue cursor.
+        t_issue = (dispatch + 1).max(unit_free[cur_unit]);
+        slots = 0;
+        let to = complete.max(t_issue);
+        if M::ENABLED {
+            let cause = if miss && !gated {
+                FrontierCause::Squash
+            } else if gated {
+                FrontierCause::Gated
+            } else {
+                FrontierCause::Dispatch
+            };
+            sink.frontier(complete, to, cause);
+            sink.boundary(&BoundaryEvent {
+                index: result.dynamic_tasks - 1,
+                task: bound.task,
+                exit: bound.exit.as_u8(),
+                next: bound.next.0,
+                predicted: bound.predicted.map(|a| a.0),
+                miss,
+                gated,
+                complete,
+                commit,
+                dispatch,
+            });
+        }
+        complete = to;
     }
-    let result = state.finish();
+
+    result.cycles = complete.max(prev_commit);
     sink.finish(&result);
     Ok(result)
 }
@@ -983,9 +897,9 @@ pub fn simulate_with_sink<M: MetricsSink>(
     max_steps: u64,
     sink: &mut M,
 ) -> Result<TimingResult, TraceError> {
-    let mut source = InterpSource::new(program, tasks, max_steps);
+    let mut source = InterpSource::new(program, tasks, descs, predictor, config, max_steps);
     let mem_words = source.interp.mem_words();
-    simulate_core(&mut source, descs, predictor, config, mem_words, sink)
+    simulate_core(&mut source, config, mem_words, sink)
 }
 
 #[cfg(test)]

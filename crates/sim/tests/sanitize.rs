@@ -19,15 +19,31 @@ use multiscalar_workloads::{Spec92, WorkloadParams};
 
 /// The two step feeds agree in lockstep on every built-in workload — the
 /// strongest form of the "replay is bit-identical" claim, checked step by
-/// step rather than only on the final result.
+/// step rather than only on the final result. The paper's machine checks
+/// the intra-task miss stream; its ARB never fills, so a 3-bank, 2-entry
+/// ARB with CIR gate 8 also checks a bank-full stream that carries ones
+/// and a gated stream.
 #[test]
 fn replay_agrees_with_interpreter_on_all_workloads() {
+    let small_arb = ArbConfig {
+        banks: 3,
+        entries_per_bank: 2,
+        stages: 4,
+    };
+    let configs = [
+        TimingConfig::paper(),
+        TimingConfig::paper()
+            .arb(Some(small_arb))
+            .confidence_gate(Some(8)),
+    ];
     for &spec in Spec92::ALL.iter() {
         let w = spec.build(&WorkloadParams::small(3));
         let tasks = TaskFormer::default().form(&w.program).unwrap();
-        let steps = check_replay_agreement(&w.program, &tasks, w.max_steps)
-            .unwrap_or_else(|e| panic!("{spec}: {e}"));
-        assert!(steps > 0, "{spec}: empty execution");
+        for config in &configs {
+            let steps = check_replay_agreement(&w.program, &tasks, config, w.max_steps)
+                .unwrap_or_else(|e| panic!("{spec}: {e}"));
+            assert!(steps > 0, "{spec}: empty execution");
+        }
     }
 }
 
